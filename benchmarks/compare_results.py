@@ -5,10 +5,11 @@ Usage::
 
     python benchmarks/compare_results.py BASELINE_DIR NEW_DIR [--threshold 0.2]
 
-The CI benchmark-smoke job copies the committed ``paper/results/`` to a
-temporary directory, reruns the bench suite in quick mode (which rewrites
-``paper/results/`` in place), then calls this script: any tracked metric
-that regresses by more than the threshold fails the job.
+The CI benchmark-smoke job reruns the bench suite in quick mode with
+``--basetemp=/tmp/bench-out`` (the benches write their JSONs to
+``/tmp/bench-out/results/``), then calls this script against the
+committed ``paper/results/``: any tracked metric that regresses by more
+than the threshold fails the job.
 
 Only machine-portable *ratio* metrics are tracked — absolute steps/sec
 or wall-clock numbers differ across runner hardware, but cache speedup

@@ -2,8 +2,11 @@
 
 Each benchmark regenerates one paper table/figure: it prints the
 paper-shaped rows (captured with ``-s``), writes a JSON artifact under
-``paper/results/``, and asserts the qualitative shape the paper reports.
-``pytest benchmarks/ --benchmark-only`` times the full regeneration.
+``<basetemp>/results/``, and asserts the qualitative shape the paper
+reports.  The committed ``paper/results/`` never changes during a test
+run; to refresh it, run with ``--basetemp`` and copy the JSONs over (see
+README "Benchmarks").  ``pytest benchmarks/ --benchmark-only`` times the
+full regeneration.
 """
 
 from __future__ import annotations
@@ -12,10 +15,9 @@ from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "paper" / "results"
-
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
+def results_dir(tmp_path_factory: pytest.TempPathFactory) -> Path:
+    path = tmp_path_factory.getbasetemp() / "results"
+    path.mkdir(parents=True, exist_ok=True)
+    return path

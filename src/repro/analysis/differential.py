@@ -86,7 +86,7 @@ class DifferentialChecker:
     ) -> bool:
         """`has_producer` re-derived from dependence-graph flow edges.
 
-        Mirrors :func:`repro.transforms.fusion.fusable_producer` — the
+        Mirrors :meth:`ScheduledFunction.fusable_producer_of` — the
         textually closest flow producer, still unfused and unvectorized
         — but reads the analyzer's edges instead of ``defining_op``
         links, so a divergence between the two surfaces as a fusion-bit

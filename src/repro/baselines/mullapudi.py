@@ -125,7 +125,7 @@ class MullapudiAutoscheduler(OptimizationMethod):
                     best_seconds = seconds
                     best_clone = clone
         if best_clone is not None:
-            self._adopt(scheduled, best_clone)
+            scheduled.adopt(best_clone)
 
     def _vectorize_innermost(
         self, scheduled: ScheduledFunction, op: LinalgOp
@@ -150,8 +150,3 @@ class MullapudiAutoscheduler(OptimizationMethod):
         return nest_time(
             nest, self.spec, skip_tensor_ids=nest.fused_skip_ids()
         ).total
-
-    @staticmethod
-    def _adopt(target: ScheduledFunction, source: ScheduledFunction) -> None:
-        """Copy the clone's schedule state back into ``target``."""
-        target._schedules = source._schedules  # noqa: SLF001 - same class

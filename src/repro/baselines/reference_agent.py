@@ -144,6 +144,11 @@ class BeamSearchAgent(OptimizationMethod):
         #: time spent ranking them — the cost-vs-real throughput metric.
         self.candidates_scored = 0
         self.scoring_seconds = 0.0
+        #: id -> (state, seconds) of the unfused producers timed by the
+        #: running _optimize_op call (None outside it)
+        self._producer_memo: dict[int, tuple[ScheduledOp, float]] | None = (
+            None
+        )
 
     # -- local scoring ----------------------------------------------------------
 
@@ -157,20 +162,29 @@ class BeamSearchAgent(OptimizationMethod):
         recompute factors — so moving a producer into the subtree never
         hides its cost.
         """
-        schedule = scheduled.schedule_of(op)
-        root = schedule
+        root = scheduled.schedule_of(op)
         while root.fused_into is not None:
             root = root.fused_into
-        nest = lower_scheduled_op(root)
-        total = nest_time(
+        total = self._nest_seconds(root)
+        producer = scheduled.fusable_producer_of(op)
+        if producer is None:
+            return total
+        if self._producer_memo is None:
+            return total + self._nest_seconds(producer)
+        # Candidates that leave the producer alone share its copy-on-write
+        # state, which no one mutates, so one op's search times it once.
+        entry = self._producer_memo.get(id(producer))
+        if entry is None:
+            entry = (producer, self._nest_seconds(producer))
+            self._producer_memo[id(producer)] = entry
+        return total + entry[1]
+
+    def _nest_seconds(self, schedule: ScheduledOp) -> float:
+        """Machine-model time of one top-level nest and its fusions."""
+        nest = lower_scheduled_op(schedule)
+        return nest_time(
             nest, self.spec, skip_tensor_ids=nest.fused_skip_ids()
         ).total
-        producer = scheduled.fusable_producer_of(op)
-        if producer is not None and producer.fused_into is None:
-            total += nest_time(
-                lower_scheduled_op(producer), self.spec
-            ).total
-        return total
 
     def _score_batch(
         self,
@@ -203,6 +217,15 @@ class BeamSearchAgent(OptimizationMethod):
     # -- per-op beam ---------------------------------------------------------------
 
     def _optimize_op(
+        self, scheduled: ScheduledFunction, op: LinalgOp
+    ) -> ScheduledFunction:
+        self._producer_memo = {}
+        try:
+            return self._search_op(scheduled, op)
+        finally:
+            self._producer_memo = None
+
+    def _search_op(
         self, scheduled: ScheduledFunction, op: LinalgOp
     ) -> ScheduledFunction:
         if self.prune:

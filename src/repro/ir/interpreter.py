@@ -16,12 +16,11 @@ tiling, interchange and parallelization must never change results
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..transforms.loop_nest import LoweredNest
-from ..transforms.scheduled_op import ScheduledOp
 from .ops import (
     ArithKind,
     Body,
@@ -30,6 +29,9 @@ from .ops import (
     IRError,
     LinalgOp,
 )
+
+if TYPE_CHECKING:
+    from ..transforms.scheduled_op import ScheduledOp
 
 
 def _apply_arith(kind: ArithKind, operands: list[float]) -> float:

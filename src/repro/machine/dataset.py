@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -120,47 +121,60 @@ def _program_op_block(op_entry: tuple) -> list[float]:
     return block
 
 
+@lru_cache(maxsize=1 << 12)
+def _extent_features(extents: tuple) -> tuple[float, ...]:
+    part = [
+        math.log2(1 + extent) / _LOG_EXTENT_SCALE
+        for extent in extents[:MAX_DIMS]
+    ]
+    return tuple(part + [0.0] * (MAX_DIMS - len(part)))
+
+
+@lru_cache(maxsize=1 << 12)
+def _order_features(order: tuple) -> tuple[float, ...]:
+    part = [(position + 1) / 12.0 for position in order[:MAX_DIMS]]
+    return tuple(part + [0.0] * (MAX_DIMS - len(part)))
+
+
+@lru_cache(maxsize=1 << 12)
+def _band_features(band: tuple) -> tuple[float, ...]:
+    log2 = math.log2
+    parallel, loops = band
+    part = [1.0 if parallel else 0.0, len(loops) / 4.0]
+    for dim, trip, tile, loop_parallel in loops[:BAND_LOOPS]:
+        part += [
+            (dim + 1) / 12.0,
+            log2(1 + trip) / _LOG_EXTENT_SCALE,
+            log2(1 + tile) / _LOG_EXTENT_SCALE,
+            1.0 if loop_parallel else 0.0,
+        ]
+    return tuple(part + [0.0] * (BAND_FEATURES - len(part)))
+
+
+_NO_BAND = (0.0,) * BAND_FEATURES
+
+
 def _schedule_op_block(state: tuple | None) -> list[float]:
     """Features of one op's schedule state (state_key tuple), or zeros
     for a never-scheduled op (baseline lowering).
 
     Hot path of candidate scoring (every beam expansion builds exactly
-    one novel op block; the rest hit the evaluator's memo), so it
-    avoids helper-call overhead: state components are non-negative ints
-    straight from ``state_key``.
+    one novel op block; the rest hit the evaluator's memo).  A novel
+    block mostly inherits its extents, loop order and tile bands from
+    the parent state, so those parts are cached by value; state
+    components are non-negative ints straight from ``state_key``.
     """
     if state is None:
         return [0.0] * SCHEDULE_OP_FEATURES
-    log2 = math.log2
     extents, order, bands, vectorized, fused_into, fused, annotations = state
     block = [1.0]
-    block += [
-        log2(1 + extent) / _LOG_EXTENT_SCALE
-        for extent in extents[:MAX_DIMS]
-    ]
-    if len(extents) < MAX_DIMS:
-        block += [0.0] * (MAX_DIMS - len(extents))
-    block += [(position + 1) / 12.0 for position in order[:MAX_DIMS]]
-    if len(order) < MAX_DIMS:
-        block += [0.0] * (MAX_DIMS - len(order))
+    block += _extent_features(extents)
+    block += _order_features(order)
     block.append(len(bands) / 4.0)
     for index in range(MAX_BANDS):
-        if index < len(bands):
-            parallel, loops = bands[index]
-            block += [1.0 if parallel else 0.0, len(loops) / 4.0]
-            for slot in range(BAND_LOOPS):
-                if slot < len(loops):
-                    dim, trip, tile, loop_parallel = loops[slot]
-                    block += [
-                        (dim + 1) / 12.0,
-                        log2(1 + trip) / _LOG_EXTENT_SCALE,
-                        log2(1 + tile) / _LOG_EXTENT_SCALE,
-                        1.0 if loop_parallel else 0.0,
-                    ]
-                else:
-                    block += [0.0, 0.0, 0.0, 0.0]
-        else:
-            block += [0.0] * BAND_FEATURES
+        block += (
+            _band_features(bands[index]) if index < len(bands) else _NO_BAND
+        )
     block += [
         1.0 if vectorized else 0.0,
         1.0 if fused_into else 0.0,
@@ -551,31 +565,42 @@ class ScheduleCostEvaluator:
         """Predicted whole-function seconds per candidate (None when the
         candidate cannot be keyed/featurized)."""
         scores: list[float | None] = [None] * len(candidates)
-        batch = np.empty((len(candidates), FEATURE_SIZE), dtype=np.float32)
+        # Zero rows: a never-scheduled op's block is all zeros, so only
+        # the prefix and the scheduled ops' blocks are written.
+        batch = np.zeros((len(candidates), FEATURE_SIZE), dtype=np.float32)
+        static = self._static_size
+        width = SCHEDULE_OP_FEATURES
         filled = 0
         positions: list[int] = []
+        func: FuncOp | None = None
+        prefix: np.ndarray | None = None
         for index, scheduled in enumerate(candidates):
             state = keys[index] if keys is not None else None
             if state is None:
                 state = scheduled.schedule_key()
-            prefix = self._prefix(scheduled) if state is not None else None
+                if state is None:
+                    self.stats.fallbacks += 1
+                    continue
+            if scheduled.func is not func:
+                # one search's expansions all share one function
+                func = scheduled.func
+                prefix = self._prefix(scheduled)
             if prefix is None:
                 self.stats.fallbacks += 1
                 continue
-            np.concatenate(
-                [prefix]
-                + [
-                    self._op_block(state[op] if op < len(state) else None)
-                    for op in range(MAX_OPS)
-                ],
-                out=batch[filled],
-            )
+            row = batch[filled]
+            row[:static] = prefix
+            start = static
+            for op_state in state[:MAX_OPS]:
+                if op_state is not None:
+                    row[start : start + width] = self._op_block(op_state)
+                start += width
             filled += 1
             positions.append(index)
         if filled:
             predictions = self.model.predict_seconds(batch[:filled])
-            for position, seconds in zip(positions, predictions):
-                scores[position] = float(seconds)
+            for position, seconds in zip(positions, predictions.tolist()):
+                scores[position] = seconds
             self.stats.batches += 1
             self.stats.scored += filled
         return scores

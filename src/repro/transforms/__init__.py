@@ -8,9 +8,9 @@ registered :mod:`~repro.transforms.registry` plugin; loop unrolling
 """
 
 from .fusion import (
-    apply_tiled_fusion,
-    fusable_producer,
+    fuse_producers,
     intermediate_value_dims,
+    is_fusable,
     recompute_factor,
 )
 from .interchange import (
@@ -53,11 +53,7 @@ from .records import (
     is_permutation,
 )
 from .loop_printer import print_nest, print_nests
-from .multi_fusion import (
-    MultiTiledFusion,
-    apply_multi_tiled_fusion,
-    fusable_producers,
-)
+from .multi_fusion import MultiTiledFusion
 from .registry import (
     BUILTIN_TRANSFORMS,
     HeadSpec,
@@ -128,11 +124,9 @@ __all__ = [
     "ScriptError",
     "access_patterns",
     "apply_interchange",
-    "apply_multi_tiled_fusion",
     "apply_parallelization",
     "apply_schedule",
     "apply_script",
-    "apply_tiled_fusion",
     "apply_tiled_parallelization",
     "apply_tiling",
     "apply_vectorization",
@@ -140,10 +134,10 @@ __all__ = [
     "coverage_per_dim",
     "enumerated_candidates",
     "footprint_elems",
-    "fusable_producer",
-    "fusable_producers",
+    "fuse_producers",
     "identity_permutation",
     "intermediate_value_dims",
+    "is_fusable",
     "is_permutation",
     "legal_parallel_positions",
     "legal_tile_positions",

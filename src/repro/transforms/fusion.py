@@ -19,58 +19,34 @@ The cost consequences captured for the machine model:
 
 from __future__ import annotations
 
-from ..ir.ops import FuncOp, LinalgOp
+from .multi_fusion import MultiTiledFusion
 from .records import TiledFusion
-from .scheduled_op import FusedProducer, ScheduledOp, TransformError
+from .scheduled_op import FusedProducer, ScheduledOp
 
 
-def fusable_producer(
-    func: FuncOp, schedule: ScheduledOp, scheduled: dict[int, ScheduledOp]
-) -> ScheduledOp | None:
-    """The producer that a TiledFusion action would fuse, if any.
-
-    Returns the ScheduledOp of the last producer of ``schedule.op`` that
-    has not already been fused elsewhere, or None when fusion is illegal.
-    """
-    producer_op = func.last_producer(schedule.op)
-    if producer_op is None:
-        return None
-    producer = scheduled.get(id(producer_op))
-    if producer is None:
-        producer = ScheduledOp(producer_op)
-        scheduled[id(producer_op)] = producer
-    if producer.fused_into is not None:
-        return None
-    if producer.vectorized:
-        # A vectorized producer is already rewritten into vector ops and
-        # can no longer be cloned into tile loops (paper appendix A).
-        return None
-    return producer
+def is_fusable(producer: ScheduledOp) -> bool:
+    """Whether a consumer may still fuse ``producer``: it is not fused
+    elsewhere, and not vectorized — a vectorized producer is already
+    rewritten into vector ops and can no longer be cloned into tile
+    loops (paper appendix A)."""
+    return producer.fused_into is None and not producer.vectorized
 
 
-def apply_tiled_fusion(
-    func: FuncOp,
-    schedule: ScheduledOp,
-    transform: TiledFusion,
-    scheduled: dict[int, ScheduledOp],
-) -> ScheduledOp:
-    """Tile ``schedule`` and fuse its last producer into the new band.
-
-    Returns the fused producer's schedule.  Raises
-    :class:`TransformError` when no legal producer exists.
-    """
-    producer = fusable_producer(func, schedule, scheduled)
-    if producer is None:
-        raise TransformError(
-            f"{schedule.op.name} has no fusable producer"
-        )
-    schedule.materialize_band(transform.sizes, parallel=False)
-    producer.fused_into = schedule
-    schedule.fused.append(
-        FusedProducer(producer, band_index=len(schedule.bands) - 1)
-    )
-    schedule.history.append(transform)
-    return producer
+def fuse_producers(
+    consumer: ScheduledOp,
+    producers: list[ScheduledOp],
+    transform: TiledFusion | MultiTiledFusion,
+) -> None:
+    """Tile ``consumer`` by ``transform.sizes`` and fuse ``producers``
+    into the new band (one producer for TiledFusion, every fusable one
+    for MultiTiledFusion).  Both sides must be owned by the caller's
+    :class:`~repro.transforms.pipeline.ScheduledFunction`."""
+    consumer.materialize_band(transform.sizes, parallel=False)
+    band_index = len(consumer.bands) - 1
+    for producer in producers:
+        producer.fused_into = consumer
+        consumer.fused.append(FusedProducer(producer, band_index))
+    consumer.history.append(transform)
 
 
 def intermediate_value_dims(

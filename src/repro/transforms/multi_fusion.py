@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ir.ops import FuncOp
 from .records import TransformKind
-from .scheduled_op import FusedProducer, ScheduledOp, TransformError
 
 
 @dataclass(frozen=True)
@@ -32,41 +30,3 @@ class MultiTiledFusion:
 
     def __str__(self) -> str:
         return f"MF({', '.join(str(s) for s in self.sizes)})"
-
-
-def fusable_producers(
-    func: FuncOp, schedule: ScheduledOp, scheduled: dict[int, ScheduledOp]
-) -> list[ScheduledOp]:
-    """Every producer of ``schedule.op`` that could legally fuse."""
-    producers = []
-    for producer_op in func.producers_of(schedule.op):
-        producer = scheduled.get(id(producer_op))
-        if producer is None:
-            producer = ScheduledOp(producer_op)
-            scheduled[id(producer_op)] = producer
-        if producer.fused_into is not None or producer.vectorized:
-            continue
-        producers.append(producer)
-    return producers
-
-
-def apply_multi_tiled_fusion(
-    func: FuncOp,
-    schedule: ScheduledOp,
-    transform: MultiTiledFusion,
-    scheduled: dict[int, ScheduledOp],
-) -> list[ScheduledOp]:
-    """Tile ``schedule`` once and fuse every fusable producer into the
-    band.  Returns the fused producers (at least one, or raises)."""
-    producers = fusable_producers(func, schedule, scheduled)
-    if not producers:
-        raise TransformError(
-            f"{schedule.op.name} has no fusable producers"
-        )
-    schedule.materialize_band(transform.sizes, parallel=False)
-    band_index = len(schedule.bands) - 1
-    for producer in producers:
-        producer.fused_into = schedule
-        schedule.fused.append(FusedProducer(producer, band_index))
-    schedule.history.append(transform)
-    return producers

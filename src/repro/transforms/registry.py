@@ -42,13 +42,13 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .fusion import apply_tiled_fusion
+from .fusion import fuse_producers
 from .interchange import (
     apply_interchange,
     enumerated_candidates,
     rotation_permutations,
 )
-from .multi_fusion import MultiTiledFusion, apply_multi_tiled_fusion
+from .multi_fusion import MultiTiledFusion
 from .records import (
     Interchange,
     NoTransformation,
@@ -1009,11 +1009,13 @@ class TiledFusionSpec(_TiledSpecBase):
         op: "LinalgOp",
         record: Transformation,
     ) -> None:
-        apply_tiled_fusion(
-            scheduled.func,
+        producer = scheduled.fusable_producer_of(op)
+        if producer is None:
+            raise TransformError(f"{op.name} has no fusable producer")
+        fuse_producers(
             scheduled.schedule_of(op),
+            [scheduled.schedule_of(producer.op)],
             record,
-            scheduled._schedules,
         )
 
     def search_candidates(
@@ -1065,11 +1067,13 @@ class MultiTiledFusionSpec(TransformSpec):
         op: "LinalgOp",
         record: Transformation,
     ) -> None:
-        apply_multi_tiled_fusion(
-            scheduled.func,
+        producers = scheduled.fusable_producers_of(op)
+        if not producers:
+            raise TransformError(f"{op.name} has no fusable producers")
+        fuse_producers(
             scheduled.schedule_of(op),
+            [scheduled.schedule_of(producer.op) for producer in producers],
             record,
-            scheduled._schedules,
         )
 
 

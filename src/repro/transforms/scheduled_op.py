@@ -101,6 +101,10 @@ class ScheduledOp:
         #: per-dim factors); specs own their keys, core code never reads
         #: them — lowering hooks consume them instead
         self.annotations: dict[str, object] = {}
+        #: memo of the function-level state key, set by
+        #: ScheduledFunction.schedule_key once this state is shared
+        #: between copy-on-write clones (and hence never mutated again)
+        self.shared_key: tuple | None = None
 
     # -- queries -------------------------------------------------------------
 
@@ -183,7 +187,9 @@ class ScheduledOp:
         )
 
     def clone_state(self) -> "ScheduledOp":
-        """Deep-ish copy for search agents (shares the immutable op)."""
+        """Deep-ish copy (shares the immutable op and the fusion links;
+        :class:`~repro.transforms.pipeline.ScheduledFunction` remaps the
+        links when it copies a component)."""
         copy = ScheduledOp.__new__(ScheduledOp)
         copy.op = self.op
         copy.extents = list(self.extents)
@@ -199,6 +205,7 @@ class ScheduledOp:
         copy.history = list(self.history)
         copy.fused_into = self.fused_into
         copy.annotations = copy_module.deepcopy(self.annotations)
+        copy.shared_key = None
         return copy
 
     # -- shared tiling machinery ----------------------------------------------

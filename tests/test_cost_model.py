@@ -10,6 +10,7 @@ greedy/beam search runs end to end, the environment swaps to (and
 restores from) cost-model rewards, and the CLI verbs chain together.
 """
 
+import math
 import multiprocessing
 
 import numpy as np
@@ -26,10 +27,13 @@ from repro.machine import (
     CachingExecutor,
     CostModelExecutor,
     ExecutionCache,
+    Executor,
     ScheduleCostEvaluator,
     XEON_E5_2680_V4,
     build_corpus,
     export_dataset,
+    func_fingerprint,
+    sample_features,
 )
 from repro.machine.dataset import check_model_compatible
 from repro.machine.persist import (
@@ -110,6 +114,68 @@ _values = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+_loops = st.tuples(
+    st.integers(0, 9), st.integers(0, 4096), st.integers(0, 512), st.booleans()
+)
+_op_states = st.tuples(
+    st.lists(st.integers(0, 4096), max_size=10).map(tuple),  # extents
+    st.lists(st.integers(0, 9), max_size=10).map(tuple),  # order
+    st.lists(
+        st.tuples(st.booleans(), st.lists(_loops, max_size=6).map(tuple)),
+        max_size=5,
+    ).map(tuple),  # bands
+    st.booleans(),  # vectorized
+    st.booleans(),  # fused into a consumer
+    st.lists(st.integers(0, 7), max_size=3).map(tuple),  # fused producers
+    st.lists(st.text(max_size=3), max_size=3).map(tuple),  # annotations
+)
+
+
+def _reference_op_block(state):
+    """The per-op schedule block spelled out slot by slot."""
+    from repro.machine.dataset import (
+        BAND_FEATURES,
+        BAND_LOOPS,
+        MAX_BANDS,
+        MAX_DIMS,
+    )
+
+    def log_extent(value):
+        return math.log2(1 + value) / 20.0
+
+    extents, order, bands, vectorized, fused_into, fused, annotations = state
+    block = [1.0]
+    for dim in range(MAX_DIMS):
+        block.append(log_extent(extents[dim]) if dim < len(extents) else 0.0)
+    for dim in range(MAX_DIMS):
+        block.append((order[dim] + 1) / 12.0 if dim < len(order) else 0.0)
+    block.append(len(bands) / 4.0)
+    for index in range(MAX_BANDS):
+        if index >= len(bands):
+            block += [0.0] * BAND_FEATURES
+            continue
+        parallel, loops = bands[index]
+        block += [1.0 if parallel else 0.0, len(loops) / 4.0]
+        for slot in range(BAND_LOOPS):
+            if slot < len(loops):
+                dim, trip, tile, loop_parallel = loops[slot]
+                block += [
+                    (dim + 1) / 12.0,
+                    log_extent(trip),
+                    log_extent(tile),
+                    1.0 if loop_parallel else 0.0,
+                ]
+            else:
+                block += [0.0] * 4
+    block += [
+        1.0 if vectorized else 0.0,
+        1.0 if fused_into else 0.0,
+        len(fused) / 4.0,
+        len(annotations) / 4.0,
+    ]
+    return block
 
 
 class TestPersistCodec:
@@ -224,6 +290,16 @@ class TestExporter:
         assert len(dataset) == 0
         assert dataset.features.shape == (0, FEATURE_SIZE)
 
+    @settings(max_examples=200, deadline=None)
+    @given(state=_op_states)
+    def test_schedule_op_block_matches_layout(self, state):
+        """The cached-part featurizer writes the FEATURE_VERSION 1
+        layout, float for float, including dims, bands and band loops
+        past their caps (saved models depend on it)."""
+        from repro.machine.dataset import _schedule_op_block
+
+        assert _schedule_op_block(state) == _reference_op_block(state)
+
 
 # ---------------------------------------------------------------------------
 # Model training + persistence
@@ -329,6 +405,47 @@ class TestGuidedSearch:
         score = evaluator.score_batch([scheduled])[0]
         predicted = executor.run_scheduled(scheduled).seconds
         assert score == pytest.approx(predicted, rel=1e-6)
+
+    def test_batched_rows_are_sample_features(self):
+        """Each row score_batch hands the model is byte-identical to
+        sample_features — for untouched, tiled, interchanged and fused
+        ops, and in a batch that switches between functions."""
+        from repro.transforms import Interchange, Tiling, TiledFusion
+        from repro.transforms.pipeline import ScheduledFunction
+
+        rows: list[np.ndarray] = []
+
+        class RecordingModel:
+            feature_version = FEATURE_VERSION
+
+            def predict_seconds(self, features):
+                rows.extend(np.array(features, copy=True))
+                return np.ones(len(features), dtype=np.float32)
+
+        chain = _chain()
+        first, second = chain.body
+        fused = ScheduledFunction(chain)
+        fused.apply(second, TiledFusion((16, 16)))
+        fused.apply(second, Interchange((1, 0)))
+        mm = ScheduledFunction(_mm())
+        mm.apply(mm.func.body[0], Tiling((8, 16, 4)))
+        producer_only = ScheduledFunction(chain)
+        producer_only.apply(first, Tiling((32, 8)))
+        candidates = [ScheduledFunction(chain), fused, mm, producer_only]
+        executor = Executor(XEON_E5_2680_V4)
+        evaluator = ScheduleCostEvaluator(
+            RecordingModel(), XEON_E5_2680_V4, executor=executor
+        )
+        assert evaluator.score_batch(candidates) == [1.0] * len(candidates)
+        assert len(rows) == len(candidates)
+        for row, scheduled in zip(rows, candidates):
+            expected = sample_features(
+                XEON_E5_2680_V4,
+                func_fingerprint(scheduled.func),
+                scheduled.schedule_key(),
+                executor.run_baseline(scheduled.func).seconds,
+            )
+            assert row.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

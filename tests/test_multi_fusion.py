@@ -7,11 +7,7 @@ from repro.ir import FuncOp, add, empty, mul, relu, tensor
 from repro.machine import Executor, nest_time, XEON_E5_2680_V4
 from repro.transforms import ScheduledFunction, TransformError
 from repro.transforms.lowering import lower_scheduled_op
-from repro.transforms.multi_fusion import (
-    MultiTiledFusion,
-    apply_multi_tiled_fusion,
-    fusable_producers,
-)
+from repro.transforms.multi_fusion import MultiTiledFusion
 
 
 def _diamond(size=256):
@@ -32,11 +28,9 @@ class TestMultiFusion:
     def test_fuses_both_producers(self):
         func, left, right, out = _diamond()
         scheduled = ScheduledFunction(func)
+        assert len(scheduled.fusable_producers_of(out)) == 2
+        scheduled.apply(out, MultiTiledFusion((8, 8)))
         schedule = scheduled.schedule_of(out)
-        producers = apply_multi_tiled_fusion(
-            func, schedule, MultiTiledFusion((8, 8)), scheduled._schedules
-        )
-        assert len(producers) == 2
         assert scheduled.schedule_of(left).fused_into is schedule
         assert scheduled.schedule_of(right).fused_into is schedule
         assert len(schedule.fused) == 2
@@ -44,10 +38,7 @@ class TestMultiFusion:
     def test_single_nest_after_fusion(self):
         func, left, right, out = _diamond()
         scheduled = ScheduledFunction(func)
-        schedule = scheduled.schedule_of(out)
-        apply_multi_tiled_fusion(
-            func, schedule, MultiTiledFusion((8, 8)), scheduled._schedules
-        )
+        scheduled.apply(out, MultiTiledFusion((8, 8)))
         nests = scheduled.lower()
         assert len(nests) == 1
         assert len(nests[0].fused) == 2
@@ -56,12 +47,7 @@ class TestMultiFusion:
         func, left, right, out = _diamond()
         scheduled = ScheduledFunction(func)
         with pytest.raises(TransformError):
-            apply_multi_tiled_fusion(
-                func,
-                scheduled.schedule_of(left),
-                MultiTiledFusion((8, 8)),
-                scheduled._schedules,
-            )
+            scheduled.apply(left, MultiTiledFusion((8, 8)))
 
     def test_already_fused_producer_excluded(self):
         from repro.transforms import TiledFusion
@@ -69,9 +55,7 @@ class TestMultiFusion:
         func, left, right, out = _diamond()
         scheduled = ScheduledFunction(func)
         scheduled.apply(out, TiledFusion((8, 8)))  # fuses `right` (last)
-        remaining = fusable_producers(
-            func, scheduled.schedule_of(out), scheduled._schedules
-        )
+        remaining = scheduled.fusable_producers_of(out)
         assert [p.op for p in remaining] == [left]
 
     def test_multi_fusion_beats_single_on_memory_bound_diamond(self):
@@ -87,21 +71,15 @@ class TestMultiFusion:
 
         func2, *_, out2 = _diamond(2048)
         multi = ScheduledFunction(func2)
-        schedule = multi.schedule_of(out2)
-        apply_multi_tiled_fusion(
-            func2, schedule, MultiTiledFusion((32, 32)), multi._schedules
-        )
+        multi.apply(out2, MultiTiledFusion((32, 32)))
         multi_seconds = executor.run_scheduled(multi).seconds
         assert multi_seconds <= single_seconds * 1.01
 
     def test_recompute_accounted_per_producer(self):
         func, left, right, out = _diamond()
         scheduled = ScheduledFunction(func)
-        schedule = scheduled.schedule_of(out)
-        apply_multi_tiled_fusion(
-            func, schedule, MultiTiledFusion((8, 8)), scheduled._schedules
-        )
-        nest = lower_scheduled_op(schedule)
+        scheduled.apply(out, MultiTiledFusion((8, 8)))
+        nest = lower_scheduled_op(scheduled.schedule_of(out))
         for fused in nest.fused:
             assert fused.recompute == 1.0  # elementwise: no recompute
 
