@@ -340,7 +340,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     for stats in history.iterations[resumed_from:]:
         print(
             f"iter {stats.iteration:3d}: speedup "
-            f"{stats.geomean_speedup:6.2f}x reward {stats.mean_reward:7.3f}"
+            f"{stats.geomean_speedup:6.2f}x reward {stats.mean_reward:7.3f} "
+            f"({stats.wall_seconds:.2f} s, update "
+            f"{stats.update_seconds / stats.wall_seconds:.0%})"
         )
     save_agent(agent, args.checkpoint)
     if not history.iterations:

@@ -65,7 +65,19 @@ class MaskedCategorical:
 
         Masked entries contribute 0 (p log p -> 0 in the limit; the huge
         negative logit makes p exactly 0 up to float rounding).
+
+        One fused node for ``-(exp(lp) * lp).sum(-1)``: its backward adds
+        the gradient through the ``lp`` factor and the one through
+        ``exp(lp)`` in the order the tape adds them.
         """
-        probs = self.log_probs.exp()
-        plogp = probs * self.log_probs
-        return -plogp.sum(axis=-1)
+        log_probs = self.log_probs
+        probs = np.exp(log_probs.data)
+        data = -(probs * log_probs.data).sum(axis=-1)
+
+        def backward(grad: np.ndarray):
+            grad_plogp = np.expand_dims(-grad, -1)
+            grad_probs = grad_plogp * log_probs.data
+            out._send(log_probs, grad_plogp * probs + grad_probs * probs)
+
+        out = Tensor._from_op(data, (log_probs,), backward)
+        return out

@@ -4,16 +4,29 @@ Implements exactly what the paper's actor-critic networks need
 (Fig. 3/4): dense layers with ReLU, an LSTM cell for the
 producer-consumer embedding, and a module system with parameter
 collection for the optimizer.
+
+Each :class:`Linear`, :class:`MLP` and :class:`LSTMEncoder` call
+records **one** tape node.  Its forward and hand-written backward
+repeat the operations the tape would run for the per-primitive
+composition (``x @ W + b``, ``relu``, the LSTM gate arithmetic) in the
+tape's order, including the order in which a parameter's per-step
+gradients are added.  Gradients are therefore bit-identical to the
+composition; inputs that do not require a gradient get none computed.
+
+Weight and bias gradients land in a buffer each parameter keeps across
+steps (:meth:`~.tensor.Tensor.accumulate_with`), so ``parameter.grad``
+is only valid until the next backward after ``zero_grad``: copy it to
+keep it longer.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, concatenate
+from .tensor import Tensor
 
 
 class Module:
@@ -88,10 +101,7 @@ class Linear(Module):
         )
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return _dense_node(x, (self,), (False,))
 
 
 class MLP(Module):
@@ -110,15 +120,56 @@ class MLP(Module):
         self.final_activation = final_activation
 
     def __call__(self, x: Tensor) -> Tensor:
-        for index, layer in enumerate(self.layers):
-            x = layer(x)
-            if self.final_activation or index + 1 < len(self.layers):
-                x = x.relu()
-        return x
+        last = len(self.layers) - 1
+        relus = [
+            self.final_activation or index < last
+            for index in range(len(self.layers))
+        ]
+        return _dense_node(x, self.layers, relus)
+
+
+def _dense_node(
+    x: Tensor, layers: Sequence[Linear], relus: Sequence[bool]
+) -> Tensor:
+    """One tape node for a chain of Linear layers on ``(batch, features)``,
+    each followed by a ReLU where ``relus`` says so."""
+    if x.ndim != 2:
+        raise ValueError(
+            f"dense layers take (batch, features) inputs, got shape {x.shape}"
+        )
+    activations = [x.data]
+    for layer, relu in zip(layers, relus):
+        y = activations[-1] @ layer.weight.data
+        if layer.bias is not None:
+            y += layer.bias.data
+        if relu:
+            np.maximum(y, 0.0, out=y)
+        activations.append(y)
+    parameters = [
+        p for layer in layers for p in (layer.weight, layer.bias) if p is not None
+    ]
+
+    def backward(grad: np.ndarray):
+        for index in reversed(range(len(layers))):
+            layer = layers[index]
+            if relus[index]:
+                grad = grad * (activations[index + 1] > 0)
+            if layer.bias is not None:
+                layer.bias.accumulate_with(np.sum, grad, axis=0)
+            layer.weight.accumulate_with(np.matmul, activations[index].T, grad)
+            if index == 0 and not x.requires_grad:
+                return
+            grad = grad @ layer.weight.data.T
+        out._send(x, grad)
+
+    out = Tensor._from_op(activations[-1], (x, *parameters), backward)
+    return out
 
 
 class LSTMCell(Module):
-    """A standard LSTM cell (input/forget/cell/output gates)."""
+    """The parameters of a standard LSTM cell (input/forget/cell/output
+    gates, in that order along the gate axis); :class:`LSTMEncoder` runs
+    the steps."""
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.input_size = input_size
@@ -134,24 +185,6 @@ class LSTMCell(Module):
         )
         self.bias = Tensor(np.zeros(4 * hidden_size), requires_grad=True)
 
-    def __call__(
-        self, x: Tensor, state: tuple[Tensor, Tensor]
-    ) -> tuple[Tensor, Tensor]:
-        h, c = state
-        gates = x @ self.weight_ih + h @ self.weight_hh + self.bias
-        size = self.hidden_size
-        i = gates[:, 0 * size : 1 * size].sigmoid()
-        f = gates[:, 1 * size : 2 * size].sigmoid()
-        g = gates[:, 2 * size : 3 * size].tanh()
-        o = gates[:, 3 * size : 4 * size].sigmoid()
-        c_next = f * c + i * g
-        h_next = o * c_next.tanh()
-        return h_next, c_next
-
-    def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        zeros = Tensor(np.zeros((batch, self.hidden_size)))
-        return zeros, Tensor(np.zeros((batch, self.hidden_size)))
-
 
 class LSTMEncoder(Module):
     """Runs an LSTM cell over a short sequence; returns the final hidden
@@ -161,10 +194,69 @@ class LSTMEncoder(Module):
         self.cell = LSTMCell(input_size, hidden_size, rng)
 
     def __call__(self, steps: list[Tensor]) -> Tensor:
+        """One tape node over all steps; returns the final hidden state.
+
+        The forward is the per-primitive cell's gate arithmetic, op for
+        op: ``(x Wih + h Whh) + b``, sigmoid as ``1 / (1 + exp(-z))`` on
+        the input, forget and output gates, ``c' = f c + i g`` and
+        ``h' = o tanh(c')``.
+
+        Backward walks the steps last to first.  The tape adds the
+        per-step gradients of ``weight_hh`` and ``bias`` last step
+        first, but those of ``weight_ih`` (and the step inputs) first
+        step first, so the ``weight_ih`` products wait for the walk to
+        finish.  The tape also reached the steps' own graphs last step
+        first, so the node lists them in that order.
+        """
         if not steps:
             raise ValueError("LSTMEncoder needs at least one step")
-        batch = steps[0].shape[0]
-        state = self.cell.initial_state(batch)
+        cell = self.cell
+        size = cell.hidden_size
+        h = np.zeros((steps[0].shape[0], size))
+        c = np.zeros((steps[0].shape[0], size))
+        records = []  # per step: (x, h_prev, c_prev, i, f, g, o, tanh_c)
         for step in steps:
-            state = self.cell(step, state)
-        return state[0]
+            x = step.data
+            gates = x @ cell.weight_ih.data
+            gates += h @ cell.weight_hh.data
+            gates += cell.bias.data
+            input_forget = 1.0 / (1.0 + np.exp(-gates[:, 0 * size : 2 * size]))
+            i = input_forget[:, :size]
+            f = input_forget[:, size:]
+            g = np.tanh(gates[:, 2 * size : 3 * size])
+            o = 1.0 / (1.0 + np.exp(-gates[:, 3 * size : 4 * size]))
+            c_next = f * c + i * g
+            tanh_c = np.tanh(c_next)
+            records.append((x, h, c, i, f, g, o, tanh_c))
+            h, c = o * tanh_c, c_next
+
+        def backward(grad: np.ndarray):
+            grad_h, grad_c = grad, None
+            grad_gates = []
+            for t in reversed(range(len(records))):
+                x, h, c, i, f, g, o, tanh_c = records[t]
+                grad_o = grad_h * tanh_c
+                dc = grad_h * o * (1.0 - tanh_c**2)
+                if grad_c is not None:
+                    dc = dc + grad_c
+                dgates = np.empty((x.shape[0], 4 * size))
+                dgates[:, 0 * size : 1 * size] = dc * g * i * (1.0 - i)
+                dgates[:, 1 * size : 2 * size] = dc * c * f * (1.0 - f)
+                dgates[:, 2 * size : 3 * size] = dc * i * (1.0 - g**2)
+                dgates[:, 3 * size : 4 * size] = grad_o * o * (1.0 - o)
+                grad_gates.append(dgates)
+                cell.bias.accumulate_with(np.sum, dgates, axis=0)
+                cell.weight_hh.accumulate_with(np.matmul, h.T, dgates)
+                if t:
+                    grad_h = dgates @ cell.weight_hh.data.T
+                    grad_c = dc * f
+            for step, (x, *_), dgates in zip(
+                steps, records, reversed(grad_gates)
+            ):
+                cell.weight_ih.accumulate_with(np.matmul, x.T, dgates)
+                if step.requires_grad:
+                    out._send(step, dgates @ cell.weight_ih.data.T)
+
+        parents = (*reversed(steps), cell.weight_ih, cell.weight_hh, cell.bias)
+        out = Tensor._from_op(h, parents, backward)
+        return out

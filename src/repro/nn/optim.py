@@ -1,5 +1,13 @@
 """Optimizers: Adam (the paper's choice for PPO) and SGD, plus global
-gradient-norm clipping."""
+gradient-norm clipping.
+
+Adam works in place, over cache-sized chunks of each parameter, and
+the clipping norm squares each gradient into the per-thread scratch
+(:func:`.tensor.scratch`), instead of allocating a fresh
+parameter-sized temporary per operation.  Both run the same elementwise
+operations as the plain whole-array expressions, so results are
+bit-identical to them.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +16,21 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, scratch
+
+#: Adam's elements per chunk: six chunk-sized float64 arrays (parameter,
+#: gradient, two moments, two scratch) stay within a 1 MiB L2 cache.
+CHUNK = 16384
+
+
+def _flat(array: np.ndarray, what: str) -> np.ndarray:
+    """A 1-D view of a C-contiguous array (never a copy)."""
+    if not array.flags.c_contiguous:
+        raise ValueError(
+            f"{what} is not C-contiguous; in-place optimizer updates need "
+            "contiguous parameters, gradients and moments"
+        )
+    return array.reshape(-1)
 
 
 def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
@@ -17,7 +39,12 @@ def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
     Returns the pre-clip norm.
     """
     params = [p for p in parameters if p.grad is not None]
-    total = math.sqrt(sum(float((p.grad**2).sum()) for p in params))
+    total = math.sqrt(
+        sum(
+            float(np.square(p.grad, out=scratch(p.shape, p.dtype)).sum())
+            for p in params
+        )
+    )
     if total > max_norm and total > 0.0:
         scale = max_norm / total
         for parameter in params:
@@ -44,20 +71,51 @@ class Adam:
         self._t = 0
 
     def step(self) -> None:
+        """One update of every parameter with a gradient.
+
+        Per element this is ``m = b1 m + (1 - b1) g``,
+        ``v = b2 v + (1 - b2) g**2`` and
+        ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``, evaluated in that
+        operation order chunk by chunk.  A non-contiguous parameter,
+        gradient or moment raises instead of updating a copy.
+        """
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
         for parameter, m, v in zip(self.parameters, self._m, self._v):
             if parameter.grad is None:
                 continue
-            grad = parameter.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            parameter.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            work = scratch(2 * CHUNK, parameter.dtype)
+            data = _flat(parameter.data, "parameter")
+            grad = _flat(parameter.grad, "gradient")
+            m_flat = _flat(m, "Adam moment")
+            v_flat = _flat(v, "Adam moment")
+            for start in range(0, data.size, CHUNK):
+                stop = min(start + CHUNK, data.size)
+                self._update(
+                    data[start:stop],
+                    grad[start:stop],
+                    m_flat[start:stop],
+                    v_flat[start:stop],
+                    work[: stop - start],
+                    work[CHUNK : CHUNK + stop - start],
+                    bias1,
+                    bias2,
+                )
+
+    def _update(self, data, grad, m, v, delta, denom, bias1, bias2) -> None:
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=delta)
+        v *= self.beta2
+        np.square(grad, out=delta)
+        v += np.multiply(delta, 1.0 - self.beta2, out=delta)
+        np.divide(m, bias1, out=delta)
+        delta *= self.lr
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        delta /= denom
+        data -= delta
 
     def zero_grad(self) -> None:
         for parameter in self.parameters:

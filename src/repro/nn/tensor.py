@@ -9,10 +9,27 @@ semantics, with gradients summed back over broadcast axes.
 Supported primitives cover what the policy/value networks need: +, -,
 *, /, matmul, exp, log, tanh, sigmoid, relu, power, sum/mean, max,
 reshape, transpose, concatenate, stack, slicing and row gathering.
+
+**Fused nodes.**  :func:`log_softmax` here, and the layers in
+:mod:`.layers`, record one tape node each instead of one node per
+primitive.  A fused node's forward and hand-written backward repeat the
+primitives' numpy operations in the tape's order, and add gradient
+contributions in the order the tape would, so every value and gradient
+is bit-identical to the primitive composition.  A fused node computes no
+gradient for an input that does not require one.
+
+**Gradient buffers.**  A fused node writes a parameter's gradient into
+a buffer that the parameter keeps across steps (see
+:meth:`Tensor.accumulate_with`); ``grad is None`` still means "no
+gradient since the last ``zero_grad``".  The next backward after a
+``zero_grad`` overwrites the buffer, so a caller that needs a gradient
+past that point must copy it.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +60,26 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+_scratch = threading.local()
+
+
+def scratch(shape, dtype=np.float64) -> np.ndarray:
+    """A per-thread scratch array of ``shape``, reused across calls.
+
+    One buffer per dtype and thread, grown to the largest size asked
+    for; the contents are garbage and only valid until the next call.
+    """
+    buffers = getattr(_scratch, "buffers", None)
+    if buffers is None:
+        buffers = _scratch.buffers = {}
+    dtype = np.dtype(dtype)
+    size = math.prod(shape) if isinstance(shape, tuple) else shape
+    buffer = buffers.get(dtype)
+    if buffer is None or buffer.size < size:
+        buffer = buffers[dtype] = np.empty(size, dtype=dtype)
+    return buffer[:size].reshape(shape)
+
+
 class Tensor:
     """A numpy array with reverse-mode gradient tracking."""
 
@@ -53,6 +90,7 @@ class Tensor:
         "_backward",
         "_parents",
         "_sideband",
+        "_grad_buffer",
     )
     __array_priority__ = 100  # numpy defers binary ops to Tensor
 
@@ -67,6 +105,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
+        self._grad_buffer: np.ndarray | None = None
 
     # -- construction -----------------------------------------------------------
 
@@ -118,6 +157,25 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += grad
+
+    def accumulate_with(self, op, *args, **kwargs) -> None:
+        """Add ``op(*args, out=..., **kwargs)`` into this leaf's gradient.
+
+        The first contribution since ``zero_grad`` is written straight
+        into the leaf's reused gradient buffer; later ones go through
+        per-thread scratch and are added, as the tape's ``_accumulate``
+        adds them, so no weight-sized array is allocated per step.  A
+        leaf that does not require a gradient gets none.
+        """
+        if not self.requires_grad:
+            return
+        if self.grad is None:
+            buffer = self._grad_buffer
+            if buffer is None or buffer.shape != self.data.shape:
+                buffer = self._grad_buffer = np.empty_like(self.data)
+            self.grad = op(*args, out=buffer, **kwargs)
+        else:
+            self.grad += op(*args, out=scratch(self.shape, self.dtype), **kwargs)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Reverse-mode accumulation from this tensor."""
@@ -330,7 +388,8 @@ class Tensor:
         if axis is None:
             count = self.size
         else:
-            count = self.shape[axis]
+            axes = axis if isinstance(axis, tuple) else (axis,)
+            count = math.prod(self.shape[a] for a in axes)
         return self.sum(axis=axis, keepdims=keepdims) / float(count)
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
@@ -433,11 +492,24 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax (max-shift is detached)."""
-    shift = Tensor(logits.data.max(axis=axis, keepdims=True))
-    shifted = logits - shift
-    log_norm = shifted.exp().sum(axis=axis, keepdims=True).log()
-    return shifted - log_norm
+    """Numerically stable log-softmax (max-shift is detached).
+
+    One fused node for ``shifted - log(exp(shifted).sum(axis))`` with
+    ``shifted = logits - max``.  Its backward adds the direct gradient
+    and the one through ``exp``, as the tape adds the two uses of
+    ``shifted``.
+    """
+    shifted = logits.data - logits.data.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=axis, keepdims=True)
+    data = shifted - np.log(total)
+
+    def backward(grad: np.ndarray):
+        grad_total = -grad.sum(axis=axis, keepdims=True) / total
+        out._send(logits, grad + grad_total * exp)
+
+    out = Tensor._from_op(data, (logits,), backward)
+    return out
 
 
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:

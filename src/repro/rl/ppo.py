@@ -107,7 +107,12 @@ class PPOConfig:
 
 @dataclass
 class IterationStats:
-    """Per-iteration training telemetry."""
+    """Per-iteration training telemetry.
+
+    ``wall_seconds`` covers the whole iteration; ``collect_seconds`` and
+    ``update_seconds`` split it into rollout collection and the PPO
+    update (0.0 in histories saved before the split was recorded).
+    """
 
     iteration: int
     mean_reward: float
@@ -117,6 +122,8 @@ class IterationStats:
     entropy: float
     executions: int
     wall_seconds: float
+    collect_seconds: float = 0.0
+    update_seconds: float = 0.0
 
 
 @dataclass
@@ -404,8 +411,9 @@ class PPOTrainer:
                 )
             start = time.perf_counter()
             trajectories = self.collect()
+            collected = time.perf_counter()
             policy_loss, value_loss, entropy = self.update(trajectories)
-            wall = time.perf_counter() - start
+            end = time.perf_counter()
             rewards = [sum(t.rewards) for t in trajectories]
             stats = IterationStats(
                 iteration=self.iteration,
@@ -415,7 +423,9 @@ class PPOTrainer:
                 value_loss=value_loss,
                 entropy=entropy,
                 executions=sum(t.executions for t in trajectories),
-                wall_seconds=wall,
+                wall_seconds=end - start,
+                collect_seconds=collected - start,
+                update_seconds=end - collected,
             )
             self.history.iterations.append(stats)
             self.iteration += 1

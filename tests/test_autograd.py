@@ -80,6 +80,8 @@ class TestGradchecks:
 
     def test_mean(self):
         _gradcheck(lambda a: a.mean(), (3, 4))
+        for axis in ((0, 1), -1, (0, -1), (-2, -1)):
+            _gradcheck(lambda a, axis=axis: (a.mean(axis=axis) ** 2).sum(), (2, 3, 4))
 
     def test_max_axis(self):
         _gradcheck(lambda a: a.max(axis=1).sum(), (3, 4))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import nn_oracle
 from repro.nn import (
     Adam,
     LSTMCell,
@@ -61,11 +62,17 @@ class TestMLP:
 
 class TestLSTM:
     def test_cell_shapes(self):
+        # The per-step cell lives in the test oracle; the encoder's fused
+        # node must agree with one oracle step.
         cell = LSTMCell(6, 10, np.random.default_rng(0))
-        h, c = cell.initial_state(4)
-        h2, c2 = cell(Tensor(np.zeros((4, 6))), (h, c))
+        h, c = nn_oracle.initial_state(cell, 4)
+        x = Tensor(np.random.default_rng(1).normal(size=(4, 6)))
+        h2, c2 = nn_oracle.cell_step(cell, x, (h, c))
         assert h2.shape == (4, 10)
         assert c2.shape == (4, 10)
+        encoder = LSTMEncoder(6, 10, np.random.default_rng(2))
+        encoder.cell = cell
+        assert np.array_equal(encoder([x]).numpy(), h2.numpy())
 
     def test_encoder_final_state(self):
         encoder = LSTMEncoder(6, 10, np.random.default_rng(0))

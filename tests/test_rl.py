@@ -10,6 +10,7 @@ from repro.ir import FuncOp, matmul, tensor
 from repro.rl import (
     ActorCritic,
     FlatActorCritic,
+    IterationStats,
     PPOConfig,
     PPOTrainer,
     FlatPPOTrainer,
@@ -185,6 +186,27 @@ class TestPPO:
         history = trainer.train(2)
         wall = history.wall_clock()
         assert wall[1] > wall[0] > 0
+
+    def test_iteration_splits_collect_and_update_seconds(self):
+        rng = np.random.default_rng(0)
+        agent = ActorCritic(CONFIG, rng, hidden_size=32)
+        env = MlirRlEnv(config=CONFIG)
+        ppo = PPOConfig(samples_per_iteration=2, minibatch_size=8)
+        trainer = PPOTrainer(env, agent, lambda r: _matmul_func(), ppo, 0)
+        stats = trainer.train(1).iterations[0]
+        assert stats.collect_seconds > 0 and stats.update_seconds > 0
+        assert stats.collect_seconds + stats.update_seconds == pytest.approx(
+            stats.wall_seconds
+        )
+        # Histories recorded before the split load with zero phase times.
+        legacy = {
+            key: value
+            for key, value in vars(stats).items()
+            if key not in ("collect_seconds", "update_seconds")
+        }
+        restored = IterationStats(**legacy)
+        assert restored.collect_seconds == restored.update_seconds == 0.0
+        assert restored.wall_seconds == stats.wall_seconds
 
 
 class TestCheckpoint:

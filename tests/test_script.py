@@ -1,5 +1,7 @@
 """Tests for transform-script serialization and the CLI."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,5 @@ class TestCli:
         )
         assert code == 0
         assert checkpoint.exists()
+        # Each iteration line reports its wall time and the update's share.
+        assert re.search(r"iter +0: .* s, update \d+%\)", capsys.readouterr().out)
