@@ -48,10 +48,8 @@ TRACKED_METRICS: list[tuple[str, tuple[str, ...], str]] = [
     # ratio-tracked).
     ("spec_switch.json", ("switch_vs_single_ratio",), "higher"),
     ("spec_switch.json", ("slowest_vs_default_throughput_ratio",), "higher"),
-    # Dependence analysis: the differential checker's masking tax and
-    # the config-aware mask-cache key's tax on the default path (both
-    # same-box ratios, machine-portable).
-    ("analysis_overhead.json", ("verify_overhead_ratio",), "lower"),
+    # Dependence analysis: the config-aware mask-cache key's tax on the
+    # warm path (a same-box ratio, machine-portable).
     ("analysis_overhead.json", ("keyed_vs_seed_lookup_ratio",), "lower"),
     # Learned cost model: candidate-scoring throughput vs pricing every
     # candidate on the machine model (same-box ratio), and how much of

@@ -1,18 +1,14 @@
 """Static analysis over the mini-MLIR IR.
 
-Three layers, each built on the one below:
+Two layers, the second built on the first:
 
 * :mod:`.dependence` — affine dependence analysis: per-statement access
   relations extracted from the ops' indexing maps, distance/direction
   vectors per loop dimension, and a :class:`DependenceGraph` per
   function;
-* :mod:`.verifier` — the schedule-legality verifier: re-derives the
-  legality of every transformation record from dependence vectors and
-  replays whole schedules (:func:`verify_schedule`);
-* :mod:`.differential` — the differential checker that cross-checks the
-  hand-written masking predicates and every applied action against the
-  analyzer (``EnvConfig.verify_transforms``), plus the generator-universe
-  sweep the CI acceptance gate runs.
+* :mod:`.verifier` — the schedule-legality verifier: replays whole
+  schedules (:func:`verify_schedule`) and reports every record that
+  breaks its spec's dependence rule.
 
 Two sibling layers feed the *search* side rather than legality:
 
@@ -25,9 +21,10 @@ Two sibling layers feed the *search* side rather than legality:
   state (no lowering), letting search prove that no completion of a
   prefix can beat the incumbent.
 
-The analyzer is load-bearing, not a linter: the ``parallelization``
-transform plugin (:mod:`repro.transforms.parallelization`) takes its
-legality mask directly from :func:`analyze_op`.
+The analyzer is load-bearing, not a linter: every transform spec states
+one dependence rule (``TransformSpec.banned_dims``) over
+:func:`analyze_op`'s facts, and the action masks, flat legality and the
+verifier's messages all derive from it.
 """
 
 from .bounds import (
@@ -54,12 +51,6 @@ from .dependence import (
     OpDependences,
     analyze_op,
 )
-from .differential import (
-    DifferentialChecker,
-    DifferentialDisagreement,
-    DifferentialStats,
-    differential_sweep,
-)
 from .verifier import (
     Violation,
     evaluate_scheduled_op_racy,
@@ -72,9 +63,6 @@ __all__ = [
     "Dependence",
     "DependenceGraph",
     "DependenceKind",
-    "DifferentialChecker",
-    "DifferentialDisagreement",
-    "DifferentialStats",
     "FlowEdge",
     "OpDependences",
     "PruneAuditReport",
@@ -87,7 +75,6 @@ __all__ = [
     "canonical_schedule_key",
     "canonical_sweep",
     "completion_lower_seconds",
-    "differential_sweep",
     "evaluate_scheduled_op_racy",
     "prune_audit",
     "reduction_order_preserved",

@@ -40,6 +40,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
@@ -134,22 +135,13 @@ class OpDependences:
         return [dim in self.carried for dim in order]
 
     def fingerprint(self) -> tuple:
-        """Hashable summary for cache keys and invariance tests.
+        """Hashable summary for invariance tests.
 
         Stable across :func:`repro.ir.ops.clone_func` (depends only on
         structure, never on object identity or auto-assigned tensor
         names) and invariant under legal schedule transformations, which
-        never touch the underlying op.  Memoized: mask-cache keys read
-        it on every lookup of an analysis-backed config.
+        never touch the underlying op.
         """
-        cached = getattr(self, "_fingerprint", None)
-        if cached is not None:
-            return cached
-        fingerprint = self._build_fingerprint()
-        object.__setattr__(self, "_fingerprint", fingerprint)
-        return fingerprint
-
-    def _build_fingerprint(self) -> tuple:
         return (
             tuple(
                 (dep.kind.value, dep.directions, dep.distance)
@@ -219,7 +211,16 @@ def integer_kernel(
     Gaussian elimination over the rationals; each free column yields one
     basis vector, scaled to primitive integers with its first nonzero
     component positive so the basis is canonical for a given ``M``.
+    Memoized by value: generated ops repeat a few small access matrices,
+    and every fresh op is analysed on its first action mask.
     """
+    return list(_integer_kernel(tuple(map(tuple, rows)), num_cols))
+
+
+@lru_cache(maxsize=4096)
+def _integer_kernel(
+    rows: tuple[tuple[int, ...], ...], num_cols: int
+) -> tuple[tuple[int, ...], ...]:
     matrix = [[Fraction(entry) for entry in row] for row in rows]
     pivot_of_col: dict[int, int] = {}
     pivot_row = 0
@@ -251,7 +252,7 @@ def integer_kernel(
         for col, row in pivot_of_col.items():
             vector[col] = -matrix[row][free]
         basis.append(_primitive(vector))
-    return basis
+    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +330,9 @@ def analyze_op(op: LinalgOp) -> OpDependences:
     """Dependence analysis of one linalg op (memoized on the op object).
 
     The memo rides on the ``LinalgOp`` instance itself, so re-analysis
-    during masking and differential checking is a dict-free attribute
-    read; :func:`repro.ir.ops.clone_func` creates fresh op objects, so
-    memos never leak across clones.
+    on every mask and verification is a dict-free attribute read;
+    :func:`repro.ir.ops.clone_func` creates fresh op objects, so memos
+    never leak across clones.
     """
     memo: OpDependences | None = getattr(op, "_dependence_memo", None)
     if memo is not None:

@@ -2,9 +2,10 @@
 
 :func:`verify_schedule` replays a fully-built schedule record by record
 against a *shadow* :class:`~repro.transforms.pipeline.ScheduledFunction`,
-asking each transformation's registry spec to re-derive legality from
-the op's dependence vectors (``TransformSpec.analysis_violations``)
-before the record is applied to the shadow.  The result is a list of
+asking each transformation's registry spec which of its dependence rule's
+banned dimensions the record touches (``TransformSpec.violations``)
+before the record is applied to the shadow.  The masks derive from the
+same rule, so every mask-legal action verifies.  The result is a list of
 :class:`Violation` — empty for a schedule the analyzer accepts.
 
 Two execution-level helpers back the property tests:
@@ -62,10 +63,10 @@ def verify_schedule(
 
     Replays each op's history consumers-first (the environment's
     traversal order) onto a fresh shadow schedule; each record is checked
-    by its spec's ``analysis_violations`` hook against the op's
-    dependence vectors *in the shadow state the record applied to*, then
-    applied.  A record the apply layer itself rejects becomes an
-    ``apply`` violation and stops that op's replay.
+    by its spec's ``violations`` hook against the op's dependence
+    vectors *in the shadow state the record applied to*, then applied.
+    A record the apply layer itself rejects becomes an ``apply``
+    violation and stops that op's replay.
     """
     graph = DependenceGraph.analyze(func)
     shadow = ScheduledFunction(func)
@@ -87,7 +88,7 @@ def verify_schedule(
             has_producer = shadow.fusable_producer_of(op) is not None
             violations.extend(
                 Violation(op.name, record, spec.name, detail)
-                for detail in spec.analysis_violations(
+                for detail in spec.violations(
                     deps, shadow_op, record, has_producer
                 )
             )

@@ -7,7 +7,7 @@ Mirrors the paper artifact's shell scripts:
 * ``train``     — train the PPO agent on the training mixture;
 * ``optimize``  — schedule one model/app and print the schedule script;
 * ``analyze``   — dependence report, schedule verification, or the
-  analyzer-vs-predicate differential sweep;
+  canonicalization and pruning audits;
 * ``profile``   — cProfile one training epoch (top cumulative entries);
 * ``cost-export`` — build a schedule-timing corpus and export it as a
   training dataset for the learned cost model;
@@ -465,16 +465,15 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Dependence-analysis report / schedule verification / sweep.
+    """Dependence-analysis report / schedule verification / audits.
 
     ``repro analyze <target>`` prints every op's dependence vectors and
     the function's flow edges; ``--script`` additionally replays a
-    schedule script and reports the verifier's violations; ``--sweep N``
-    runs the analyzer-vs-predicate differential sweep over N generated
-    programs instead.  ``--canonical`` prints each op's canonical normal
-    form for a target, or (without a target) runs the canonical-key
-    reward-invariance sweep; ``--prune-report N`` audits the bound
-    pruning layer by exhaustively completing pruned prefixes.
+    schedule script and reports the verifier's violations.
+    ``--canonical`` prints each op's canonical normal form for a target,
+    or (without a target) runs the canonical-key reward-invariance
+    sweep; ``--prune-report N`` audits the bound pruning layer by
+    exhaustively completing pruned prefixes.
     """
     from .analysis import DependenceGraph, verify_schedule
 
@@ -517,26 +516,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"  failure: {example}")
         return 0 if stats.failures == 0 else 1
 
-    if args.sweep:
-        from .analysis import differential_sweep
-
-        stats = differential_sweep(
-            num_programs=args.sweep,
-            seed=args.seed,
-            strict=not args.keep_going,
-        )
-        print(
-            f"sweep over {stats.programs} generated programs: "
-            f"{stats.masks_checked} masks and {stats.records_checked} "
-            f"applied records checked, {stats.disagreements} "
-            f"disagreement(s)"
-        )
-        for example in stats.examples:
-            print(f"  disagreement: {example}")
-        return 0 if stats.disagreements == 0 else 1
-
     if not args.target:
-        print("analyze needs a target (or --sweep N)")
+        print("analyze needs a target (or --canonical / --prune-report N)")
         return 1
     if args.target == "generated":
         import numpy as np
@@ -877,14 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
         "legality verifier's violations",
     )
     analyze.add_argument(
-        "--sweep",
-        type=int,
-        default=0,
-        metavar="N",
-        help="instead of a report, differentially check masks and "
-        "random legal actions over N generated programs",
-    )
-    analyze.add_argument(
         "--canonical",
         type=int,
         nargs="?",
@@ -907,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--keep-going",
         action="store_true",
-        help="with --sweep/--canonical/--prune-report: count failures "
+        help="with --canonical/--prune-report: count failures "
         "instead of stopping at the first one",
     )
     analyze.add_argument("--seed", type=int, default=0)

@@ -90,16 +90,6 @@ class EnvConfig:
     #: ``redundant_param_mask`` hook (:mod:`repro.transforms.registry`).
     #: Off by default: default masks stay bit-identical.
     mask_redundant: bool = False
-    #: Differential-checker mode: cross-check every mask bit and every
-    #: applied transformation against the dependence analyzer
-    #: (:mod:`repro.analysis`) during env steps.  Off by default — the
-    #: default path computes no analysis and stays bit-identical.
-    verify_transforms: bool = False
-    #: With :attr:`verify_transforms` on: raise
-    #: :class:`~repro.analysis.differential.DifferentialDisagreement`
-    #: on any analyzer-vs-predicate disagreement (tests), or just log
-    #: and count it in ``info["verifier"]`` when False (training).
-    verify_raise: bool = True
     #: Wrap the environment's executor in a
     #: :class:`~repro.fault.guard.GuardedExecutor` (wall-clock timeouts,
     #: bounded retries, quarantine).  A reward evaluation that fails

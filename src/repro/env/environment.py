@@ -130,17 +130,6 @@ class MlirRlEnv:
         #: kept for benchmarking — observations are bit-identical).
         self._observation_cache = observation_cache
         self._mask_cache = MaskCache() if observation_cache else None
-        #: differential-checker mode (``EnvConfig.verify_transforms``):
-        #: every mask and applied record is cross-checked against the
-        #: dependence analyzer.  Imported lazily — the default path
-        #: never touches :mod:`repro.analysis`.
-        self._verifier = None
-        if config.verify_transforms:
-            from ..analysis.differential import DifferentialChecker
-
-            self._verifier = DifferentialChecker(
-                config, strict=config.verify_raise
-            )
         self.reward_model = RewardModel(self.executor, config.reward_mode)
         self._machine_vec = machine_feature_vector(config, self.executor.spec)
         self._provider = benchmark_provider
@@ -311,14 +300,6 @@ class MlirRlEnv:
                 pointer_placed=tuple(self._pointer_placed),
                 in_pointer_sequence=bool(self._pointer_placed),
             )
-        if self._verifier is not None:
-            self._verifier.check_mask(
-                self.scheduled,
-                self._current,
-                mask,
-                tuple(self._pointer_placed),
-                bool(self._pointer_placed),
-            )
         return Observation(
             consumer=op_features(
                 schedule,
@@ -363,14 +344,6 @@ class MlirRlEnv:
         info: dict = {"action": str(action), "op": self._current.name}
         self._episode_steps += 1
         spec = self._view.spec_at(action.kind)
-        # Pre-application snapshot for the differential checker: applying
-        # mutates schedule state (fusion even mutates the producer's), so
-        # the state a record is judged against must be captured first.
-        verifier_pre = (
-            self._verifier.before_apply(self.scheduled, self._current)
-            if self._verifier is not None
-            else None
-        )
 
         done_with_op = False
         applied: Transformation | None = None
@@ -405,10 +378,6 @@ class MlirRlEnv:
 
         if applied is not None:
             self._schedule_version += 1
-            if self._verifier is not None:
-                self._verifier.check_applied(
-                    self.scheduled, self._current, applied, verifier_pre
-                )
 
         truncated = (
             self.config.max_episode_steps > 0
@@ -504,8 +473,6 @@ class MlirRlEnv:
         stats = getattr(self.executor, "stats", None)
         if stats is not None:
             info["cache"] = stats.snapshot()
-        if self._verifier is not None:
-            info["verifier"] = self._verifier.stats.snapshot()
 
     def _scheduled_seconds(self) -> float:
         """Current schedule's time, memoized per schedule version.

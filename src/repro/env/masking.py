@@ -4,15 +4,19 @@ Not every action is valid in every state.  The environment computes
 boolean masks from the current schedule state and hands them to the
 policy, which renormalizes its distributions over the legal subset.
 Each registered :class:`~repro.transforms.registry.TransformSpec`
-contributes its own legality predicate and sub-action mask, so
-:func:`compute_mask` contains no transform-specific code; with the
-default view the masks are the paper's:
+contributes its sub-action mask and head predicate, both derived from
+its one dependence rule (``banned_dims``) applied to the op's analysed
+dependences, so :func:`compute_mask` contains no transform-specific
+code; with the default view the masks are the paper's:
 
 * vectorization is masked when the innermost loop exceeds 512 iterations
   (MLIR fully unrolls it) or the op class fails the vectorizer's
   preconditions;
-* tiled parallelization may only tile parallel iterators, and an op
-  already fused into a consumer cannot open a nested parallel region;
+* tiled parallelization may not tile a dimension that carries a
+  dependence, and an op already fused into a consumer cannot open a
+  nested parallel region;
+* tiling, tiled fusion and interchange may not touch a coupled
+  (non-uniform) dimension;
 * tiled fusion needs a not-yet-fused producer;
 * during a level-pointer interchange, the agent is forced to continue
   the interchange, and already-placed loops are masked out.
@@ -134,9 +138,9 @@ def mask_cache_key(
     """The state a mask depends on, as a hashable key.
 
     Every legality predicate reads only the op's static properties
-    (iterator types, kind, indexing maps — covered by holding the op
-    object itself in the key, which also pins its identity) plus the
-    mutable schedule state captured by
+    (kind, indexing maps and the dependences analysed from them —
+    covered by holding the op object itself in the key, which also pins
+    its identity) plus the mutable schedule state captured by
     :meth:`~repro.transforms.scheduled_op.ScheduledOp.state_key` and
     the pointer-sequence arguments.  Equal keys therefore yield equal
     masks.
@@ -144,11 +148,9 @@ def mask_cache_key(
     When ``config`` is given, the key also pins the inputs masks take
     from the configuration: the active transform tuple (different
     action spaces produce different-shaped masks — a cache shared
-    across configs must not alias them), the differential-checker mode,
-    and — when any active spec's legality is dependence-analysis-backed
-    — the op's dependence fingerprint, so a mask can never go stale
-    relative to the analysis that produced it.  Omitting ``config``
-    keeps the seed key (per-config caches, the default env setup).
+    across configs must not alias them) and the redundancy mode.
+    Omitting ``config`` keeps the seed key (per-config caches, the
+    default env setup).
     """
     key: tuple = (
         schedule.op,
@@ -159,20 +161,7 @@ def mask_cache_key(
     )
     if config is None:
         return key
-    fingerprint = None
-    if view_for(config).analysis_backed:
-        from ..analysis.dependence import analyze_op
-
-        fingerprint = analyze_op(schedule.op).fingerprint()
-    return (
-        *key,
-        (
-            config.transforms,
-            config.verify_transforms,
-            config.mask_redundant,
-            fingerprint,
-        ),
-    )
+    return (*key, (config.transforms, config.mask_redundant))
 
 
 class MaskCache:
@@ -191,11 +180,11 @@ class MaskCache:
             raise ValueError("mask cache maxsize must be positive")
         self.maxsize = maxsize
         self._entries: OrderedDict[tuple, ActionMask] = OrderedDict()
-        #: id(config) -> (config, analysis_backed, static key suffix).
-        #: Holding the config object keeps its id stable; memoizing the
-        #: suffix keeps the per-lookup cost of the config-aware key at
-        #: one dict probe (hashing an EnvConfig per lookup is not free).
-        self._config_memo: dict[int, tuple[EnvConfig, bool, tuple]] = {}
+        #: id(config) -> (config, key suffix).  Holding the config
+        #: object keeps its id stable; memoizing the suffix keeps the
+        #: per-lookup cost of the config-aware key at one dict probe
+        #: (hashing an EnvConfig per lookup is not free).
+        self._config_memo: dict[int, tuple[EnvConfig, tuple]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -214,35 +203,15 @@ class MaskCache:
         config-derived parts memoized per config object."""
         memo = self._config_memo.get(id(config))
         if memo is None:
-            # Non-analysis-backed configs get their complete suffix
-            # precomputed (fingerprint is always None for them), so the
-            # common path pays one dict probe over the seed key.
-            memo = (
-                config,
-                view_for(config).analysis_backed,
-                (
-                    config.transforms,
-                    config.verify_transforms,
-                    config.mask_redundant,
-                    None,
-                ),
-            )
+            memo = (config, (config.transforms, config.mask_redundant))
             self._config_memo[id(config)] = memo
-        _, analysis_backed, suffix = memo
-        if analysis_backed:
-            from ..analysis.dependence import analyze_op
-
-            suffix = (
-                *suffix[:-1],
-                analyze_op(schedule.op).fingerprint(),
-            )
         return (
             schedule.op,
             schedule.state_key(),
             has_producer,
             pointer_placed,
             in_pointer_sequence,
-            suffix,
+            memo[1],
         )
 
     def lookup(

@@ -69,11 +69,7 @@ from .registry import (
 )
 from .scheduled_op import Band, BandLoop, FusedProducer, ScheduledOp, TransformError
 from .script import ScriptError, apply_script, parse_script, render_script
-from .tiling import (
-    apply_tiled_parallelization,
-    apply_tiling,
-    legal_tile_positions,
-)
+from .tiling import apply_tiled_parallelization, apply_tiling
 from .unrolling import Unroll, UnrollSpec, apply_unroll, can_unroll
 from .vectorization import (
     MAX_VECTOR_INNER_TRIP,
@@ -140,7 +136,6 @@ __all__ = [
     "is_fusable",
     "is_permutation",
     "legal_parallel_positions",
-    "legal_tile_positions",
     "lower_baseline",
     "lower_function",
     "lower_scheduled_op",

@@ -7,15 +7,13 @@ with tile size 1 (``scf.forall`` over the full extent — see
 ``transforms/tiling.py``, where tile size 1 on every level is plain
 parallelization).
 
-The point of this plugin is its masking predicate: where
-``tiled_parallelization`` asks the *declared* iterator types, this spec
-asks the **dependence analysis** (:func:`repro.analysis.dependence.
-analyze_op`) — a position is parallelizable iff its dimension carries no
-dependence.  For well-formed ops the two agree (the differential checker
-proves it across the generator universe); for an op whose iterator
-types are mislabeled, only this predicate stays correct.  That makes the
-analyzer load-bearing: remove it and this transform has no legality
-rule at all.
+Like every spec, it states one dependence rule
+(:meth:`ParallelizationSpec.banned_dims`: dimensions that carry a
+dependence or are coupled), and its mask, its verifier messages, its
+search candidates and its apply-layer check all read that rule through
+the dependence analysis (:func:`repro.analysis.dependence.analyze_op`),
+never through the declared iterator types — so an op whose iterator
+types are mislabeled is still parallelized correctly.
 
 Everything lives in :class:`ParallelizationSpec`; activate with
 ``EnvConfig.with_transforms("parallelization")`` or
@@ -48,19 +46,18 @@ class Parallelize:
 
 
 def _banned_dims(schedule: ScheduledOp) -> frozenset[int]:
-    """Dims the analyzer forbids running in parallel.
+    """The spec's rule applied to ``schedule``'s op.
 
     Imported lazily: ``repro.analysis`` imports ``repro.transforms`` for
     the verifier, so a module-level import here would be circular.
     """
     from ..analysis.dependence import analyze_op
 
-    dep = analyze_op(schedule.op)
-    return dep.carried | dep.coupled
+    return _SPEC.banned_dims(analyze_op(schedule.op))
 
 
 def legal_parallel_positions(schedule: ScheduledOp) -> list[bool]:
-    """Per-position parallelizability, straight from the analysis."""
+    """Per-position parallelizability under the spec's rule."""
     banned = _banned_dims(schedule)
     return [
         schedule.extent_at(position) > 1
@@ -112,7 +109,16 @@ class ParallelizationSpec(TransformSpec):
     record_types = (Parallelize,)
     #: searched after the built-ins and unrolling
     search_priority = 6
-    uses_dependence_analysis = True
+
+    def banned_dims(self, dep: "OpDependences") -> frozenset[int]:
+        return dep.carried | dep.coupled
+
+    def touched_dims(self, schedule, record) -> list[int]:
+        return [
+            schedule.order[position]
+            for position in record.positions
+            if 0 <= position < schedule.num_loops
+        ]
 
     # -- policy head / sub-action space ---------------------------------------
 
@@ -131,9 +137,7 @@ class ParallelizationSpec(TransformSpec):
         mask = np.zeros(ctx.config.max_loops, dtype=bool)
         if ctx.depth_overflow or ctx.terminal:
             return mask
-        legal = legal_parallel_positions(ctx.schedule)
-        limit = min(ctx.schedule.num_loops, ctx.config.max_loops)
-        mask[:limit] = legal[:limit]
+        mask[: ctx.schedule.num_loops] = legal_parallel_positions(ctx.schedule)
         return mask
 
     def is_legal(self, ctx: MaskContext, param_mask) -> bool:
@@ -145,34 +149,6 @@ class ParallelizationSpec(TransformSpec):
             and ctx.schedule.fused_into is None
             and bool(param_mask.any())
         )
-
-    # The masking predicate *is* the analysis predicate — expose the
-    # same functions through the analysis hooks so the differential
-    # checker compares it against itself (and any future heuristic
-    # rewrite against the analyzer).
-
-    def analysis_param_mask(
-        self, ctx: MaskContext, dep: "OpDependences"
-    ) -> np.ndarray:
-        return self.param_mask(ctx)
-
-    def analysis_legal(self, ctx, dep, param_mask) -> bool:
-        return self.is_legal(ctx, param_mask)
-
-    def analysis_violations(
-        self, dep, schedule, record, has_producer
-    ) -> list[str]:
-        banned = dep.carried | dep.coupled
-        issues = []
-        for position in record.positions:
-            if not 0 <= position < schedule.num_loops:
-                continue  # malformed: the apply layer rejects it
-            dim = schedule.order[position]
-            if dim in banned:
-                issues.append(
-                    f"parallelizes dependence-carried dimension d{dim}"
-                )
-        return issues
 
     # -- decoding / encoding ---------------------------------------------------
 
@@ -202,8 +178,6 @@ class ParallelizationSpec(TransformSpec):
         ]
 
     def flat_legal(self, flat, mask, num_loops, config) -> bool:
-        if flat.choice >= num_loops:
-            return False
         return bool(mask.params["parallelize"][flat.choice])
 
     def flat_record(self, flat, num_loops: int) -> Parallelize:
@@ -234,4 +208,4 @@ class ParallelizationSpec(TransformSpec):
                 history.extras[self.name][history.step, position] = 1.0
 
 
-register_transform(ParallelizationSpec())
+_SPEC = register_transform(ParallelizationSpec())

@@ -3,7 +3,8 @@
 Every transformation the system knows is described by one
 :class:`TransformSpec` plugin bundling
 
-* its **legality/masking predicate** (the §IV-A2 action masks),
+* its **dependence rule** (:meth:`TransformSpec.banned_dims`), from
+  which its §IV-A2 action masks and its verifier messages both derive,
 * its **sub-action parameter space** and decode logic (the §IV-A1
   multi-discrete components and the §VII-D flat-table entries),
 * its **apply/lowering hook** into the schedule pipeline,
@@ -37,7 +38,8 @@ are imported lazily inside methods.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -60,11 +62,7 @@ from .records import (
     Vectorization,
 )
 from .scheduled_op import ScheduledOp, TransformError
-from .tiling import (
-    apply_tiled_parallelization,
-    apply_tiling,
-    legal_tile_positions,
-)
+from .tiling import apply_tiled_parallelization, apply_tiling
 from .vectorization import apply_vectorization, can_vectorize
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -130,18 +128,13 @@ class HeadSpec:
 
 @dataclass
 class MaskContext:
-    """Everything a spec's masking predicate may inspect.
-
-    ``cache`` is shared scratch within one :func:`compute_mask` call so
-    specs sharing a sub-mask (tiling/fusion) compute it once.
-    """
+    """Everything a spec's masking predicate may inspect."""
 
     schedule: ScheduledOp
     config: "EnvConfig"
     has_producer: bool
     pointer_placed: tuple[int, ...] = ()
     in_pointer_sequence: bool = False
-    cache: dict = field(default_factory=dict)
 
     @property
     def depth_overflow(self) -> bool:
@@ -151,6 +144,18 @@ class MaskContext:
     @property
     def terminal(self) -> bool:
         return self.schedule.is_terminal()
+
+    @cached_property
+    def dep(self) -> "OpDependences":
+        """The op's dependence facts, analysed on first use.
+
+        :func:`~repro.analysis.dependence.analyze_op` memoizes on the op,
+        so only an op's first mask pays for the analysis.  Imported
+        lazily: ``repro.analysis`` imports this package for the verifier.
+        """
+        from ..analysis.dependence import analyze_op
+
+        return analyze_op(self.schedule.op)
 
 
 def _enumerated_interchange(config: "EnvConfig") -> bool:
@@ -171,68 +176,29 @@ def _trivial_tile_mask(config: "EnvConfig") -> np.ndarray:
     return mask
 
 
-def _tile_size_mask(
-    ctx: MaskContext, parallel: bool
-) -> np.ndarray:
+def _tile_size_mask(ctx: MaskContext, banned: frozenset[int]) -> np.ndarray:
     """(N, M) mask of legal tile-size candidates per loop position.
 
     Candidate 0 (no tiling) is always legal; a non-zero candidate is
-    legal when the position may be tiled and the size does not exceed
-    the current extent.  Shared through ``ctx.cache`` by every tiled
-    spec with the same ``parallel`` flag.
+    legal when the position's extent exceeds 1, its original dimension
+    is not ``banned`` and the size does not exceed the extent.
     """
-    key = ("tile_mask", parallel)
-    cached = ctx.cache.get(key)
-    if cached is not None:
-        return cached
     config, schedule = ctx.config, ctx.schedule
     mask = _trivial_tile_mask(config)
-    if not ctx.depth_overflow:
-        positions = legal_tile_positions(schedule, parallel)
-        for position in range(min(schedule.num_loops, config.max_loops)):
-            if not positions[position]:
-                continue
-            extent = schedule.extent_at(position)
-            for index, size in enumerate(config.tile_sizes):
-                if index == 0:
-                    continue
-                if size <= extent:
-                    mask[position, index] = True
-    ctx.cache[key] = mask
+    for position in range(schedule.num_loops):
+        extent = schedule.extent_at(position)
+        if extent <= 1 or schedule.order[position] in banned:
+            continue
+        for index, size in enumerate(config.tile_sizes):
+            if index and size <= extent:
+                mask[position, index] = True
     return mask
 
 
-def _analysis_tile_mask(
-    ctx: MaskContext, dep: "OpDependences", parallel: bool
-) -> np.ndarray:
-    """The analyzer's version of :func:`_tile_size_mask`.
-
-    Same structural constraints (extent, candidate size), but the
-    iterator-type heuristic is replaced by dependence facts: parallel
-    tiling is banned on dimensions *carrying* a dependence, and any
-    tiling is banned on *coupled* (non-uniform) dimensions, where
-    strip-mining cannot be proven order-preserving.  Shared through
-    ``ctx.cache`` like the heuristic mask.
-    """
-    key = ("analysis_tile_mask", parallel)
-    cached = ctx.cache.get(key)
-    if cached is not None:
-        return cached
-    config, schedule = ctx.config, ctx.schedule
-    mask = _trivial_tile_mask(config)
-    if not ctx.depth_overflow:
-        banned = dep.coupled | (dep.carried if parallel else frozenset())
-        for position in range(min(schedule.num_loops, config.max_loops)):
-            if schedule.order[position] in banned:
-                continue
-            extent = schedule.extent_at(position)
-            if extent <= 1:
-                continue
-            for index, size in enumerate(config.tile_sizes):
-                if index and size <= extent:
-                    mask[position, index] = True
-    ctx.cache[key] = mask
-    return mask
+def _dim_kind(dep: "OpDependences", dim: int) -> str:
+    return (
+        "non-uniform (coupled)" if dim in dep.coupled else "dependence-carried"
+    )
 
 
 class TransformSpec:
@@ -260,11 +226,6 @@ class TransformSpec:
     #: the seed emitted parallelization, tiling, fusion, interchange,
     #: vectorization — preserved so beam tie-breaking is unchanged.
     search_priority: int = 100
-    #: True when the masking predicate itself reads the dependence
-    #: analysis (not just the differential checker): activating such a
-    #: spec makes cached masks depend on the op's dependence summary, so
-    #: ``mask_cache_key`` folds the analysis fingerprint in.
-    uses_dependence_analysis: bool = False
 
     # -- policy head / sub-action space ---------------------------------------
 
@@ -275,7 +236,9 @@ class TransformSpec:
     # -- masking ---------------------------------------------------------------
 
     def param_mask(self, ctx: MaskContext) -> np.ndarray | None:
-        """Boolean legality of every sub-action (shape per :meth:`head`)."""
+        """Boolean legality of every sub-action (shape per :meth:`head`):
+        structural limits plus :meth:`banned_dims` applied to
+        ``ctx.dep``."""
         return None
 
     def is_legal(
@@ -305,45 +268,42 @@ class TransformSpec:
         """
         return None
 
-    # -- dependence-analysis legality (repro.analysis) -------------------------
+    # -- the dependence rule ---------------------------------------------------
 
-    def analysis_param_mask(
-        self, ctx: MaskContext, dep: "OpDependences"
-    ) -> np.ndarray | None:
-        """Sub-action legality re-derived from dependence vectors.
+    def banned_dims(self, dep: "OpDependences") -> frozenset[int]:
+        """This spec's one dependence rule: the op's original dimensions
+        it may not tile, move or parallelize.
 
-        None means the analyzer has no opinion on this spec's parameters
-        (the differential checker then skips the comparison).  Shape must
-        match :meth:`param_mask` when not None.
+        The param mask, the head bit and :meth:`violations` all derive
+        from it.  The default (nothing banned) is right for transforms
+        that keep each output element's sequential iteration order
+        (vectorization, unrolling, the stop action).
         """
-        return None
+        return frozenset()
 
-    def analysis_legal(
-        self,
-        ctx: MaskContext,
-        dep: "OpDependences",
-        param_mask: np.ndarray | None,
-    ) -> bool | None:
-        """Head legality re-derived from dependence vectors (None = no
-        opinion).  ``param_mask`` is this spec's analysis param mask."""
-        return None
+    def touched_dims(
+        self, schedule: ScheduledOp, record: Transformation
+    ) -> list[int]:
+        """Original dimensions ``record`` tiles, moves or parallelizes in
+        ``schedule``'s current state (none for a malformed record: the
+        apply layer rejects it)."""
+        return []
 
-    def analysis_violations(
+    def violations(
         self,
         dep: "OpDependences",
         schedule: ScheduledOp,
         record: Transformation,
         has_producer: bool,
     ) -> list[str]:
-        """Analyzer objections to applying ``record`` in ``schedule``'s
-        current state — one human-readable reason per violated rule.
-
-        The default (no objections) is correct for dependence-neutral
-        transforms: anything preserving each op's sequential iteration
-        order per output element (vectorization, unrolling, the stop
-        action) cannot violate a dependence.
-        """
-        return []
+        """Why applying ``record`` in ``schedule``'s current state breaks
+        the rule: one reason per touched banned dimension."""
+        banned = self.banned_dims(dep)
+        return [
+            f"touches {_dim_kind(dep, dim)} dimension d{dim}"
+            for dim in self.touched_dims(schedule, record)
+            if dim in banned
+        ]
 
     # -- decoding / encoding ---------------------------------------------------
 
@@ -590,12 +550,6 @@ class RegistryView:
             else:
                 kinds.append(PluginKind(index, name))
         self.kinds: tuple = tuple(kinds)
-        #: True when any active spec's masks read the dependence
-        #: analysis — mask cache keys then include the op's dependence
-        #: fingerprint (see ``env.masking.mask_cache_key``).
-        self.analysis_backed: bool = any(
-            spec.uses_dependence_analysis for spec in self.specs
-        )
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -667,7 +621,6 @@ class _TiledSpecBase(TransformSpec):
 
     head_name: str = ""
     mask_key: str = "tiles"
-    parallel: bool = False
     record_class: type = Tiling
 
     def head(self, config: "EnvConfig") -> HeadSpec:
@@ -679,17 +632,26 @@ class _TiledSpecBase(TransformSpec):
             config.num_tile_sizes,
         )
 
+    def banned_dims(self, dep: "OpDependences") -> frozenset[int]:
+        # Strip-mining a dimension preserves every single-dimension
+        # distance vector (the mixed-radix re-encoding is monotone per
+        # dim), so sequential tiling only endangers coupled dims.
+        return dep.coupled
+
+    def touched_dims(
+        self, schedule: ScheduledOp, record: Transformation
+    ) -> list[int]:
+        sizes = record.sizes[: schedule.num_loops]
+        return [
+            schedule.order[position]
+            for position, size in enumerate(sizes)
+            if size > 0
+        ]
+
     def param_mask(self, ctx: MaskContext) -> np.ndarray:
         if ctx.depth_overflow:
             return _trivial_tile_mask(ctx.config)
-        return _tile_size_mask(ctx, parallel=self.parallel)
-
-    def analysis_param_mask(
-        self, ctx: MaskContext, dep: "OpDependences"
-    ) -> np.ndarray:
-        if ctx.depth_overflow:
-            return _trivial_tile_mask(ctx.config)
-        return _analysis_tile_mask(ctx, dep, parallel=self.parallel)
+        return _tile_size_mask(ctx, self.banned_dims(ctx.dep))
 
     def _any_tile(
         self, ctx: MaskContext, param_mask: np.ndarray
@@ -742,8 +704,6 @@ class _TiledSpecBase(TransformSpec):
         num_loops: int,
         config: "EnvConfig",
     ) -> bool:
-        if flat.level >= num_loops:
-            return False
         size_index = config.tile_sizes.index(flat.tile_size)
         return bool(mask.params[self.mask_key][flat.level, size_index])
 
@@ -797,35 +757,6 @@ class TilingSpec(_TiledSpecBase):
     ) -> bool:
         return not ctx.terminal and self._any_tile(ctx, param_mask)
 
-    def analysis_legal(
-        self,
-        ctx: MaskContext,
-        dep: "OpDependences",
-        param_mask: np.ndarray | None,
-    ) -> bool:
-        return not ctx.terminal and self._any_tile(ctx, param_mask)
-
-    def analysis_violations(
-        self,
-        dep: "OpDependences",
-        schedule: ScheduledOp,
-        record: Transformation,
-        has_producer: bool,
-    ) -> list[str]:
-        # Strip-mining a dimension preserves every single-dimension
-        # distance vector (the mixed-radix re-encoding is monotone per
-        # dim), so sequential tiling only endangers coupled dims.
-        issues = []
-        for position, size in enumerate(record.sizes[: schedule.num_loops]):
-            if size <= 0:
-                continue
-            dim = schedule.order[position]
-            if dim in dep.coupled:
-                issues.append(
-                    f"tiles non-uniform (coupled) dimension d{dim}"
-                )
-        return issues
-
     def apply(
         self,
         scheduled: "ScheduledFunction",
@@ -868,7 +799,6 @@ class TiledParallelizationSpec(_TiledSpecBase):
     name = "tiled_parallelization"
     head_name = "parallelization"
     mask_key = "tiles_parallel"
-    parallel = True
     record_types = (TiledParallelization,)
     record_class = TiledParallelization
     search_priority = 0
@@ -885,36 +815,8 @@ class TiledParallelizationSpec(_TiledSpecBase):
             and ctx.schedule.fused_into is None
         )
 
-    def analysis_legal(
-        self,
-        ctx: MaskContext,
-        dep: "OpDependences",
-        param_mask: np.ndarray | None,
-    ) -> bool:
-        return (
-            not ctx.terminal
-            and self._any_tile(ctx, param_mask)
-            and ctx.schedule.fused_into is None
-        )
-
-    def analysis_violations(
-        self,
-        dep: "OpDependences",
-        schedule: ScheduledOp,
-        record: Transformation,
-        has_producer: bool,
-    ) -> list[str]:
-        issues = []
-        banned = dep.carried | dep.coupled
-        for position, size in enumerate(record.sizes[: schedule.num_loops]):
-            if size <= 0:
-                continue
-            dim = schedule.order[position]
-            if dim in banned:
-                issues.append(
-                    f"parallelizes dependence-carried dimension d{dim}"
-                )
-        return issues
+    def banned_dims(self, dep: "OpDependences") -> frozenset[int]:
+        return dep.carried | dep.coupled
 
     def apply(
         self,
@@ -975,33 +877,17 @@ class TiledFusionSpec(_TiledSpecBase):
             and ctx.has_producer
         )
 
-    def analysis_legal(
-        self,
-        ctx: MaskContext,
-        dep: "OpDependences",
-        param_mask: np.ndarray | None,
-    ) -> bool:
-        # Tiled fusion recomputes the producer inside the consumer's
-        # tile band — the flow value is re-produced, never reordered, so
-        # the only dependence fact that matters is that a flow producer
-        # exists (the checker derives ``ctx.has_producer`` from the
-        # dependence graph's flow edges).
-        return (
-            not ctx.terminal
-            and self._any_tile(ctx, param_mask)
-            and ctx.has_producer
-        )
-
-    def analysis_violations(
+    def violations(
         self,
         dep: "OpDependences",
         schedule: ScheduledOp,
         record: Transformation,
         has_producer: bool,
     ) -> list[str]:
+        issues = super().violations(dep, schedule, record, has_producer)
         if not has_producer:
-            return ["no flow producer available to fuse"]
-        return []
+            issues.append("no flow producer available to fuse")
+        return issues
 
     def apply(
         self,
@@ -1091,6 +977,26 @@ class InterchangeSpec(TransformSpec):
             interchange_head_size(config),
         )
 
+    def banned_dims(self, dep: "OpDependences") -> frozenset[int]:
+        # Permuting loops preserves every single-dimension distance
+        # vector (its sole `<` component stays `<` wherever the loop
+        # lands), so interchange is only constrained by coupled dims:
+        # reordering two entangled `*` dimensions may flip a dependence
+        # direction.
+        return dep.coupled
+
+    def touched_dims(
+        self, schedule: ScheduledOp, record: Transformation
+    ) -> list[int]:
+        perm = record.permutation
+        if len(perm) != schedule.num_loops or sorted(perm) != list(
+            range(schedule.num_loops)
+        ):
+            return []  # malformed: the apply layer rejects it
+        return sorted(
+            schedule.order[p] for p, q in enumerate(perm) if p != q
+        )
+
     def param_mask(self, ctx: MaskContext) -> np.ndarray:
         config, schedule = ctx.config, ctx.schedule
         size = interchange_head_size(config)
@@ -1098,15 +1004,21 @@ class InterchangeSpec(TransformSpec):
         if ctx.depth_overflow:
             # Deeper than the head can express: interchange unavailable.
             return mask
+        banned = self.banned_dims(ctx.dep)
         if _enumerated_interchange(config):
             # Real candidates for this op's depth come first in the
             # padded head; candidates touching positions beyond
-            # num_loops are masked.
+            # num_loops or moving a banned dim are masked.
+            num_loops, order = schedule.num_loops, schedule.order
             padded = enumerated_candidates(config.max_loops)
             for index, perm in enumerate(padded):
                 moved = [p for p, q in enumerate(perm) if p != q]
-                if all(p < schedule.num_loops for p in moved):
+                if all(p < num_loops and order[p] not in banned for p in moved):
                     mask[index] = True
+            return mask
+        if banned:
+            # A pointer sequence places every loop, so it cannot promise
+            # to leave a banned dim in place: no sequence may start.
             return mask
         for loop in range(min(schedule.num_loops, size)):
             if loop not in ctx.pointer_placed:
@@ -1123,70 +1035,6 @@ class InterchangeSpec(TransformSpec):
             and param_mask is not None
             and bool(param_mask.any())
         )
-
-    def analysis_param_mask(
-        self, ctx: MaskContext, dep: "OpDependences"
-    ) -> np.ndarray:
-        # Permuting loops preserves every single-dimension distance
-        # vector (its sole `<` component stays `<` wherever the loop
-        # lands), so interchange is only constrained by coupled dims:
-        # reordering two entangled `*` dimensions may flip a dependence
-        # direction.  Candidates moving a coupled dim are masked;
-        # pointer-mode interchange rebuilds the entire permutation, so
-        # any coupled dim disables it outright.
-        mask = self.param_mask(ctx)
-        if not dep.coupled or not mask.any():
-            return mask
-        schedule = ctx.schedule
-        if _enumerated_interchange(ctx.config):
-            padded = enumerated_candidates(ctx.config.max_loops)
-            for index, perm in enumerate(padded):
-                if not mask[index]:
-                    continue
-                moved = {
-                    schedule.order[p]
-                    for p, q in enumerate(perm)
-                    if p != q and p < schedule.num_loops
-                }
-                if moved & dep.coupled:
-                    mask[index] = False
-            return mask
-        return np.zeros_like(mask)
-
-    def analysis_legal(
-        self,
-        ctx: MaskContext,
-        dep: "OpDependences",
-        param_mask: np.ndarray | None,
-    ) -> bool:
-        return (
-            not ctx.terminal
-            and not ctx.depth_overflow
-            and ctx.schedule.num_loops >= 2
-            and param_mask is not None
-            and bool(param_mask.any())
-        )
-
-    def analysis_violations(
-        self,
-        dep: "OpDependences",
-        schedule: ScheduledOp,
-        record: Transformation,
-        has_producer: bool,
-    ) -> list[str]:
-        perm = record.permutation
-        if len(perm) != schedule.num_loops or sorted(perm) != list(
-            range(schedule.num_loops)
-        ):
-            return []  # malformed: the apply layer rejects it
-        moved = {
-            schedule.order[p] for p, q in enumerate(perm) if p != q
-        }
-        entangled = sorted(moved & dep.coupled)
-        return [
-            f"reorders non-uniform (coupled) dimension d{dim}"
-            for dim in entangled
-        ]
 
     def redundant_param_mask(self, ctx: MaskContext) -> np.ndarray | None:
         """Pointer-mode identity-completion guard.
@@ -1303,8 +1151,12 @@ class InterchangeSpec(TransformSpec):
         from ..env.actions import FlatAction
 
         return [
-            FlatAction(kind, permutation=perm, spec_name=self.name)
-            for perm in enumerated_candidates(config.max_loops)
+            FlatAction(
+                kind, permutation=perm, choice=index, spec_name=self.name
+            )
+            for index, perm in enumerate(
+                enumerated_candidates(config.max_loops)
+            )
         ]
 
     def flat_legal(
@@ -1314,6 +1166,11 @@ class InterchangeSpec(TransformSpec):
         num_loops: int,
         config: "EnvConfig",
     ) -> bool:
+        if _enumerated_interchange(config):
+            # ``choice`` indexes the same candidate list as the head.
+            return bool(mask.params["interchange"][flat.choice])
+        # The pointer head is only on when no dim is banned, so depth is
+        # all that is left to check.
         moved = [p for p, q in enumerate(flat.permutation) if p != q]
         return all(p < num_loops for p in moved)
 
@@ -1403,14 +1260,6 @@ class NoTransformationSpec(TransformSpec):
 
     def is_legal(
         self, ctx: MaskContext, param_mask: np.ndarray | None
-    ) -> bool:
-        return True
-
-    def analysis_legal(
-        self,
-        ctx: MaskContext,
-        dep: "OpDependences",
-        param_mask: np.ndarray | None,
     ) -> bool:
         return True
 

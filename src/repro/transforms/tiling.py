@@ -39,17 +39,3 @@ def apply_tiled_parallelization(
     schedule.materialize_band(transform.sizes, parallel=True)
     schedule.history.append(transform)
 
-
-def legal_tile_positions(schedule: ScheduledOp, parallel: bool) -> list[bool]:
-    """Which loop positions may receive a non-zero tile size."""
-    legal = []
-    for position in range(schedule.num_loops):
-        extent_ok = schedule.extent_at(position) > 1
-        if parallel:
-            iterator_ok = (
-                schedule.iterator_type_at(position) is IteratorType.PARALLEL
-            )
-        else:
-            iterator_ok = True
-        legal.append(extent_ok and iterator_ok)
-    return legal

@@ -4,7 +4,7 @@ Its legality comes from the analyzer, never from iterator-type
 declarations — the masks, the apply layer, and the search candidates
 must all agree with ``analyze_op``.  Also pins the mask-cache staleness
 fix: a cache shared across configs must key on the config's transform
-tuple and (for analysis-backed views) the dependence fingerprint.
+tuple.
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from repro.transforms import (
     apply_parallelization,
     get_spec,
     legal_parallel_positions,
-    view_for,
 )
 from repro.env.config import extended_config, small_config
 from repro.env.masking import MaskCache, compute_mask, mask_cache_key
@@ -83,13 +82,6 @@ class TestLegality:
 
 
 class TestSpecInRegistry:
-    def test_view_is_analysis_backed(self):
-        config = extended_config("parallelization")
-        view = view_for(config)
-        assert "parallelization" in config.transforms
-        assert view.analysis_backed
-        assert not view_for(small_config()).analysis_backed
-
     def test_mask_matches_analysis(self):
         config = extended_config("parallelization")
         op = _matmul_op()
@@ -151,25 +143,6 @@ class TestMaskCacheKey:
         key_a = mask_cache_key(schedule, False, (), False, config=base)
         key_b = mask_cache_key(schedule, False, (), False, config=extended)
         assert key_a != key_b
-
-    def test_verify_flag_changes_key(self):
-        schedule = ScheduledOp(_matmul_op())
-        config = small_config()
-        assert mask_cache_key(
-            schedule, False, (), False, config=config
-        ) != mask_cache_key(
-            schedule,
-            False,
-            (),
-            False,
-            config=small_config(verify_transforms=True),
-        )
-
-    def test_analysis_backed_key_includes_fingerprint(self):
-        schedule = ScheduledOp(_matmul_op())
-        config = extended_config("parallelization")
-        key = mask_cache_key(schedule, False, (), False, config=config)
-        assert analyze_op(schedule.op).fingerprint() in key[-1]
 
     def test_cache_internal_key_matches_public_function(self):
         # MaskCache._key memoizes the config-derived suffix; it must

@@ -1,25 +1,26 @@
-"""Schedule-legality verifier + differential checker tests.
+"""Schedule-legality verifier tests.
 
 Three layers: (1) regression pins — one known-legal and one
 known-illegal case per transformation, including an op whose iterator
-types are *mislabeled* (the case where only the analyzer is right);
-(2) the semantic property behind the whole PR — analyzer-accepted
-schedules are interpreter-equivalent to the unscheduled op
-(bit-identical when the reduction visit order is preserved), and
-analyzer-rejected ones either raise or observably diverge under racy
-parallel execution; (3) the acceptance gate — a differential sweep over
-the generator universe with zero analyzer-vs-predicate disagreements.
+types are *mislabeled* (the case where only the dependence facts are
+right); (2) the semantic property behind the verifier —
+analyzer-accepted schedules are interpreter-equivalent to the
+unscheduled op (bit-identical when the reduction visit order is
+preserved), and analyzer-rejected ones either raise or observably
+diverge under racy parallel execution; (3) soundness — every action
+the masks allow on a coupled or a mislabeled op respects the
+dependences (restated in the test, apart from the specs' rules),
+applies, and passes the verifier.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
-    DifferentialChecker,
-    DifferentialDisagreement,
     analyze_op,
-    differential_sweep,
     evaluate_scheduled_op_racy,
     reduction_order_preserved,
     verify_schedule,
@@ -52,8 +53,14 @@ from repro.transforms import (
     get_spec,
 )
 from repro.env.actions import flat_action_table
-from repro.env.config import extended_config
+from repro.env.config import (
+    PAPER_CONFIG,
+    InterchangeMode,
+    extended_config,
+    small_config,
+)
 from repro.env.masking import compute_mask
+from repro.rl.agent import FlatActorCritic
 
 
 def _single_op_func(op):
@@ -190,7 +197,7 @@ class TestRegressionPerTransform:
     def test_fusion_without_flow_producer_flagged(self):
         func, op = _matmul_func()
         spec = get_spec("tiled_fusion")
-        issues = spec.analysis_violations(
+        issues = spec.violations(
             analyze_op(op),
             ScheduledFunction(func).schedule_of(op),
             TiledFusion((4, 4)),
@@ -264,39 +271,76 @@ class TestSemanticProperty:
         assert not np.allclose(got, expected)
 
 
-class TestDifferentialChecker:
-    def test_strict_checker_raises_on_seeded_disagreement(self):
-        # the coupled op is exactly the case where the heuristic
-        # interchange mask and the analyzer disagree
-        func, op = _coupled_func()
-        config = extended_config(max_loops=4)
-        scheduled = ScheduledFunction(func)
-        schedule = scheduled.schedule_of(op)
-        mask = compute_mask(schedule, config, has_producer=False)
-        checker = DifferentialChecker(config, strict=True)
-        with pytest.raises(DifferentialDisagreement):
-            checker.check_mask(scheduled, op, mask)
+def _mask_legal_moves(func, op, config):
+    """Non-stop flat actions the fresh op's masks allow, as records.
 
-    def test_lenient_checker_counts_instead(self):
-        func, op = _coupled_func()
-        config = extended_config(max_loops=4)
-        scheduled = ScheduledFunction(func)
-        mask = compute_mask(
-            scheduled.schedule_of(op), config, has_producer=False
-        )
-        checker = DifferentialChecker(config, strict=False)
-        checker.check_mask(scheduled, op, mask)
-        assert checker.stats.disagreements >= 1
-        assert checker.stats.examples
+    The flat agent's :meth:`FlatActorCritic.flat_mask` must allow
+    exactly the entries that ``compute_mask`` plus each spec's
+    ``flat_legal`` allow.
+    """
+    schedule = ScheduledFunction(func).schedule_of(op)
+    mask = compute_mask(schedule, config, has_producer=False)
+    n = schedule.num_loops
+    table = flat_action_table(config)
+    allowed = [
+        bool(mask.transformation[int(flat.kind)])
+        and flat._spec().flat_legal(flat, mask, n, config)
+        for flat in table
+    ]
+    agent = FlatActorCritic(config, np.random.default_rng(0), hidden_size=8)
+    assert agent.flat_mask(mask, n).tolist() == allowed
+    return [
+        flat.to_record(n)
+        for flat, ok in zip(table, allowed)
+        if ok and not flat._spec().is_stop
+    ]
 
-    def test_sweep_500_generated_programs_zero_disagreements(self):
-        # the PR's acceptance gate: analyzer vs hand-written predicates
-        # over the full generator universe, fixed seed
-        stats = differential_sweep(num_programs=500, seed=0, strict=True)
-        assert stats.programs == 500
-        assert stats.masks_checked > 0
-        assert stats.records_checked > 0
-        assert stats.disagreements == 0
+
+def _breaks_dependences(record, schedule, dep):
+    """Dims ``record`` may not touch, from dependence theory alone.
+
+    Stated apart from the specs' rules, so a wrong rule cannot vouch for
+    itself: strip-mining or reordering a coupled dim cannot be proven
+    order-preserving, and running a carried dim in parallel races.
+    """
+    order = schedule.order
+    if isinstance(record, Interchange):
+        dims = {order[p] for p, q in enumerate(record.permutation) if p != q}
+    elif isinstance(record, Parallelize):
+        dims = {order[p] for p in record.positions}
+    else:
+        sizes = getattr(record, "sizes", ())
+        dims = {order[p] for p, size in enumerate(sizes) if size}
+    if isinstance(record, (TiledParallelization, Parallelize)):
+        return dims & (dep.carried | dep.coupled)
+    return dims & dep.coupled
+
+
+class TestMaskSoundness:
+    """Every mask-legal action respects the dependences, applies and
+    passes the verifier."""
+
+    @pytest.mark.parametrize(
+        "mode", list(InterchangeMode), ids=lambda mode: mode.value
+    )
+    @pytest.mark.parametrize(
+        "base", [small_config(), PAPER_CONFIG], ids=["small", "paper"]
+    )
+    @pytest.mark.parametrize(
+        "build", [_coupled_func, _mislabeled_matmul], ids=["coupled", "mislabeled"]
+    )
+    def test_mask_legal_actions_verify(self, build, base, mode):
+        config = replace(base, interchange_mode=mode)
+        func, op = build()
+        records = _mask_legal_moves(func, op, config)
+        assert records  # vectorization at least
+        dep = analyze_op(op)
+        for record in records:
+            scheduled = ScheduledFunction(func)
+            schedule = scheduled.schedule_of(op)
+            assert not _breaks_dependences(record, schedule, dep), record
+            scheduled.apply(op, record)
+            assert verify_schedule(func, scheduled) == [], record
 
 
 class TestEnvIntegration:
@@ -305,9 +349,7 @@ class TestEnvIntegration:
         from repro.env import MlirRlEnv
         from repro.env.actions import EnvAction
 
-        config = extended_config(
-            "parallelization", max_loops=8, verify_transforms=True
-        )
+        config = extended_config("parallelization", max_loops=8)
         rng = np.random.default_rng(0)
         env = MlirRlEnv(
             benchmark_provider=lambda: generate_program(rng), config=config
@@ -330,5 +372,4 @@ class TestEnvIntegration:
             )
             done = result.done
             obs = result.observation
-        assert result.info["verifier"]["disagreements"] == 0
-        assert result.info["verifier"]["masks_checked"] > 0
+        assert verify_schedule(env.scheduled.func, env.scheduled) == []
