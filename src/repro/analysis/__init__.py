@@ -14,8 +14,7 @@ Two sibling layers feed the *search* side rather than legality:
 
 * :mod:`.canonical` — schedule canonicalization: a stable canonical key
   under which structurally equivalent transformation sequences (and
-  no-op records) collapse, used by the execution cache's canonical
-  memoization level and the beam/greedy pruning layer;
+  no-op records) collapse, used by the beam/greedy pruning layer;
 * :mod:`.bounds` — symbolic cost bounds: monotone lower/upper bounds on
   iteration work and cache traffic computed directly from schedule
   state (no lowering), letting search prove that no completion of a

@@ -24,6 +24,7 @@ code; with the default view the masks are the paper's:
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -145,12 +146,12 @@ def mask_cache_key(
     the pointer-sequence arguments.  Equal keys therefore yield equal
     masks.
 
-    When ``config`` is given, the key also pins the inputs masks take
-    from the configuration: the active transform tuple (different
-    action spaces produce different-shaped masks — a cache shared
-    across configs must not alias them) and the redundancy mode.
-    Omitting ``config`` keeps the seed key (per-config caches, the
-    default env setup).
+    When ``config`` is given, the key also pins the whole configuration
+    (through :func:`_config_token`): masks read its transforms, loop
+    and tile sizes, interchange mode and more, so a cache shared across
+    configs must never hand one config another's mask.  Omitting
+    ``config`` keeps the seed key (per-config caches, the default env
+    setup).
     """
     key: tuple = (
         schedule.op,
@@ -161,7 +162,21 @@ def mask_cache_key(
     )
     if config is None:
         return key
-    return (*key, (config.transforms, config.mask_redundant))
+    return (*key, _config_token(config))
+
+
+_CONFIG_TOKENS: dict[EnvConfig, int] = {}
+_NEXT_TOKEN = itertools.count()
+
+
+def _config_token(config: EnvConfig) -> int:
+    """A small int standing for ``config``'s value: equal configs share
+    one, different configs never do.
+
+    Mask-cache keys carry it instead of the config, which would hash
+    every field on each lookup.
+    """
+    return _CONFIG_TOKENS.setdefault(config, next(_NEXT_TOKEN))
 
 
 class MaskCache:
@@ -180,11 +195,11 @@ class MaskCache:
             raise ValueError("mask cache maxsize must be positive")
         self.maxsize = maxsize
         self._entries: OrderedDict[tuple, ActionMask] = OrderedDict()
-        #: id(config) -> (config, key suffix).  Holding the config
-        #: object keeps its id stable; memoizing the suffix keeps the
-        #: per-lookup cost of the config-aware key at one dict probe
+        #: id(config) -> (config, :func:`_config_token`).  Holding the
+        #: config object keeps its id stable; memoizing the token keeps
+        #: the per-lookup cost of the config-aware key at one dict probe
         #: (hashing an EnvConfig per lookup is not free).
-        self._config_memo: dict[int, tuple[EnvConfig, tuple]] = {}
+        self._config_memo: dict[int, tuple[EnvConfig, int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -203,7 +218,7 @@ class MaskCache:
         config-derived parts memoized per config object."""
         memo = self._config_memo.get(id(config))
         if memo is None:
-            memo = (config, (config.transforms, config.mask_redundant))
+            memo = (config, _config_token(config))
             self._config_memo[id(config)] = memo
         return (
             schedule.op,

@@ -296,14 +296,6 @@ def _async_env_worker(
                 elif command == "cache_absorb":
                     env.executor.cache.absorb_updates(message[1])
                     conn.send(("ok", None))
-                elif command == "cache_seed":
-                    # Supervisor warm-start: everything in the payload is
-                    # already known to the parent and peers, so start the
-                    # journal instead of letting the first drain
-                    # re-broadcast the whole store.
-                    env.executor.cache.absorb_updates(message[1])
-                    env.executor.cache.begin_journal()
-                    conn.send(("ok", None))
                 elif command == "set_machine":
                     env.set_machine(message[1])
                     conn.send(("ok", None))

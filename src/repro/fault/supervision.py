@@ -162,12 +162,14 @@ class SupervisedAsyncVecEnv(AsyncVecMlirRlEnv):
         # Warm-start the replacement from the parent's merged timing
         # cache: past syncs absorbed its predecessor's entries without
         # re-journaling them, so future syncs alone would leave the
-        # fresh worker re-executing everything already paid for.
+        # fresh worker re-executing everything already paid for.  Its
+        # first drain re-ships these entries once; peers skip them as
+        # already present.
         cache = getattr(self.executor, "cache", None)
         if cache is not None:
-            entries = cache.export_entries()
+            entries = cache.entries()
             if entries:
-                self._send_raw(index, ("cache_seed", entries))
+                self._send_raw(index, ("cache_absorb", entries))
                 self._recv_raw(index, timeout=self.recv_timeout)
         if log is None:
             return

@@ -293,7 +293,11 @@ def export_dataset(cache: ExecutionCache) -> CostDataset:
     across fork workers.  Entries with non-positive timings or
     unencodable keys are skipped.
     """
-    items = cache.schedule_items()
+    items = [
+        (key, breakdown)
+        for level, key, breakdown in cache.entries()
+        if level == "schedule"
+    ]
     baselines: dict[tuple, float] = {}
     for key, breakdown in items:
         if (

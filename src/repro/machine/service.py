@@ -22,10 +22,12 @@ This module removes that redundancy with a two-level cache:
   keys the **schedule level**: a hit replays the stored whole-function
   timing without calling ``lower_function`` or ``nest_fingerprint`` at
   all — the per-step fast path of RL data collection.
-* :class:`ExecutionCache` — both LRUs plus hit/miss/eviction counters,
-  lock-protected, with :meth:`~ExecutionCache.drain_updates` /
-  :meth:`~ExecutionCache.absorb_updates` to ship (identity-free,
-  picklable) entries between rollout worker processes.
+* :class:`ExecutionCache` — the nest and schedule levels on one LRU
+  implementation, plus hit/miss/eviction counters, lock-protected.
+  :meth:`~ExecutionCache.entries` is its one listing of (identity-free,
+  picklable) entries; :meth:`~ExecutionCache.drain_updates` /
+  :meth:`~ExecutionCache.absorb_updates` ship new ones between rollout
+  worker processes.
 * :class:`CachingExecutor` — a drop-in :class:`~repro.machine.executor.
   Executor` that consults the schedule level first and falls back to
   per-nest timings through the nest level.  Cached and uncached results
@@ -219,10 +221,8 @@ class CacheStats:
     counts one hit, a schedule-level miss counts one miss **and** falls
     through to per-nest lookups which count individually.  The
     ``schedule_*`` fields break out the schedule level on its own.
-    (An earlier accounting counted schedule hits but not schedule
-    misses, so ``hit_rate`` overstated cache efficiency — and
-    ``evaluations`` miscounted — whenever the schedule level missed but
-    the nest level hit.)
+    Evictions count every entry a level drops to stay within its size,
+    whether a local insert or absorbed foreign entries overflowed it.
     """
 
     hits: int = 0
@@ -231,14 +231,6 @@ class CacheStats:
     schedule_hits: int = 0
     schedule_misses: int = 0
     schedule_evictions: int = 0
-    #: Canonical-level breakout.  A canonical hit counts one overall hit
-    #: and one ``canonical_hits`` — never a ``schedule_hits``, even
-    #: though the result is promoted into the schedule level — so the
-    #: two levels' breakouts stay disjoint and hit-rate accounting is
-    #: honest about *which* key matched.
-    canonical_hits: int = 0
-    canonical_misses: int = 0
-    canonical_evictions: int = 0
 
     @property
     def requests(self) -> int:
@@ -247,9 +239,9 @@ class CacheStats:
     @property
     def evaluations(self) -> int:
         """Cost-model evaluations actually performed (nest-level
-        misses; a schedule- or canonical-level miss alone evaluates
-        nothing — it only falls through)."""
-        return self.misses - self.schedule_misses - self.canonical_misses
+        misses; a schedule-level miss alone evaluates nothing — it only
+        falls through)."""
+        return self.misses - self.schedule_misses
 
     @property
     def hit_rate(self) -> float:
@@ -266,9 +258,6 @@ class CacheStats:
             "schedule_hits": self.schedule_hits,
             "schedule_misses": self.schedule_misses,
             "schedule_evictions": self.schedule_evictions,
-            "canonical_hits": self.canonical_hits,
-            "canonical_misses": self.canonical_misses,
-            "canonical_evictions": self.canonical_evictions,
         }
 
 
@@ -318,8 +307,42 @@ def _salvage_rows(text: str) -> list:
     return rows
 
 
+class _LRU:
+    """One bounded cache level: a lookup refreshes the entry's recency,
+    an insert stores it as the most recent and drops the least recent
+    entry past ``maxsize``.
+
+    Unlocked and uncounted: :class:`ExecutionCache` holds its lock
+    around every call and counts what :meth:`put` reports.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.entries: OrderedDict[tuple, TimingBreakdown] = OrderedDict()
+
+    def get(self, key: tuple) -> TimingBreakdown | None:
+        hit = self.entries.get(key)
+        if hit is not None:
+            self.entries.move_to_end(key)
+        return hit
+
+    def put(self, key: tuple, value: TimingBreakdown) -> bool:
+        """Store ``value`` as most recent; True when an entry was evicted.
+
+        ``move_to_end``: re-inserting a present key (say, a racing
+        thread timed it meanwhile) must refresh its recency, or a fresh
+        result keeps a stale LRU slot and is evicted as if old.
+        """
+        self.entries[key] = value
+        self.entries.move_to_end(key)
+        if len(self.entries) > self.maxsize:
+            self.entries.popitem(last=False)
+            return True
+        return False
+
+
 class ExecutionCache:
-    """Two-level LRU of timing results.
+    """Two LRU levels of timing results.
 
     * **nest level** — (spec, :func:`nest_fingerprint`) → per-nest
       :class:`TimingBreakdown`.  Requires lowering the schedule and
@@ -330,49 +353,26 @@ class ExecutionCache:
       → the summed function breakdown.  A hit skips ``lower_function``
       and ``nest_fingerprint`` entirely (the per-step fast path); a miss
       falls back to the nest level, so results are bit-identical either
-      way.
+      way.  ``schedule_maxsize=0`` disables it (nest-level-only
+      semantics).
 
     Both keys are identity-free structural tuples, so entries are valid
-    across processes — :meth:`drain_updates`/:meth:`absorb_updates`
-    ship them between rollout workers.  All mutation is lock-protected,
-    so one cache may be shared across threads.
-
-    A third, opt-in **canonical level** (``canonical_maxsize > 0``) keys
-    by :func:`repro.analysis.canonical.canonical_schedule_key`, so
-    *equivalent* schedules reached via different action orders share one
-    timing.  It is local-only: never journaled, drained, exported,
-    saved, or absorbed (see :meth:`canonical_put`).
+    across processes.  :meth:`entries` lists every entry — the one
+    listing that saving, dataset export and worker warm-starts read —
+    and :meth:`drain_updates`/:meth:`absorb_updates` ship new entries
+    between rollout workers.  All mutation is lock-protected, so one
+    cache may be shared across threads.
     """
 
-    def __init__(
-        self,
-        maxsize: int = 8192,
-        schedule_maxsize: int | None = None,
-        canonical_maxsize: int = 0,
-    ):
+    def __init__(self, maxsize: int = 8192, schedule_maxsize: int | None = None):
         if maxsize < 1:
             raise ValueError("cache maxsize must be positive")
-        self.maxsize = maxsize
-        #: None → follow ``maxsize``; 0 disables the schedule level
-        #: (nest-level-only behavior, the pre-fast-path semantics).
-        self.schedule_maxsize = (
-            maxsize if schedule_maxsize is None else schedule_maxsize
-        )
-        #: Opt-in third level keyed by the *canonical* schedule key
-        #: (:func:`repro.analysis.canonical.canonical_schedule_key`):
-        #: equivalent-but-differently-ordered schedules hit one entry.
-        #: Default 0 = off; the canonical level is LOCAL-only — its
-        #: entries are never drained, exported, or saved (peers may run
-        #: with the level off, and exact-key levels already carry the
-        #: ground truth).
-        self.canonical_maxsize = canonical_maxsize
-        self._entries: OrderedDict[tuple, TimingBreakdown] = OrderedDict()
-        self._schedule_entries: OrderedDict[tuple, TimingBreakdown] = (
-            OrderedDict()
-        )
-        self._canonical_entries: OrderedDict[tuple, TimingBreakdown] = (
-            OrderedDict()
-        )
+        self._levels = {
+            "nest": _LRU(maxsize),
+            "schedule": _LRU(
+                maxsize if schedule_maxsize is None else schedule_maxsize
+            ),
+        }
         #: keys inserted locally since the last drain (for worker sync).
         #: Journaling starts at the first :meth:`drain_updates` call —
         #: the default single-process path never drains, and must not
@@ -383,42 +383,31 @@ class ExecutionCache:
         self._lock = threading.RLock()
         self.stats = CacheStats()
 
+    @property
+    def maxsize(self) -> int:
+        return self._levels["nest"].maxsize
+
+    @property
+    def schedule_maxsize(self) -> int:
+        return self._levels["schedule"].maxsize
+
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._levels["nest"].entries)
 
     @property
     def schedule_entries(self) -> int:
-        return len(self._schedule_entries)
+        return len(self._levels["schedule"].entries)
 
-    def timed(
-        self, spec: MachineSpec, nest: LoweredNest
-    ) -> TimingBreakdown:
-        """The breakdown of ``nest`` under ``spec``, computed on miss."""
-        key = (spec, nest_fingerprint(nest))
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self.stats.hits += 1
-                self._entries.move_to_end(key)
-                return hit
-            self.stats.misses += 1
-        breakdown = nest_time(
-            nest, spec, skip_tensor_ids=nest.fused_skip_ids()
-        )
-        with self._lock:
-            # move_to_end: a racing thread may have inserted this key
-            # meanwhile; plain assignment would keep the entry's stale
-            # LRU slot and let a fresh result be evicted as if old.
-            self._entries[key] = breakdown
-            self._entries.move_to_end(key)
-            self._journal("nest", key)
-            if len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+    def _insert(self, level: str, key: tuple, value: TimingBreakdown) -> None:
+        """The one insert path (caller holds the lock)."""
+        if self._levels[level].put(key, value):
+            if level == "nest":
                 self.stats.evictions += 1
-        return breakdown
+            else:
+                self.stats.schedule_evictions += 1
 
     def _journal(self, level: str, key: tuple) -> None:
-        """Record an insert for the next drain (caller holds the lock)."""
+        """Record a local insert for the next drain (caller holds the lock)."""
         if not self._journaling:
             return
         self._updates.append((level, key))
@@ -428,106 +417,82 @@ class ExecutionCache:
             self._updates.clear()
             self._journal_overflow = True
 
-    # -- schedule level ---------------------------------------------------------
+    def timed(
+        self, spec: MachineSpec, nest: LoweredNest
+    ) -> TimingBreakdown:
+        """The breakdown of ``nest`` under ``spec``, computed on miss."""
+        key = (spec, nest_fingerprint(nest))
+        with self._lock:
+            hit = self._levels["nest"].get(key)
+            if hit is not None:
+                self.stats.hits += 1
+                return hit
+            self.stats.misses += 1
+        breakdown = nest_time(
+            nest, spec, skip_tensor_ids=nest.fused_skip_ids()
+        )
+        with self._lock:
+            self._insert("nest", key, breakdown)
+            self._journal("nest", key)
+        return breakdown
 
     def schedule_get(self, key: tuple) -> TimingBreakdown | None:
         """Cached whole-function breakdown for a schedule key, if any."""
         if self.schedule_maxsize < 1:
             return None
         with self._lock:
-            hit = self._schedule_entries.get(key)
+            hit = self._levels["schedule"].get(key)
             if hit is None:
                 self.stats.misses += 1
                 self.stats.schedule_misses += 1
                 return None
             self.stats.hits += 1
             self.stats.schedule_hits += 1
-            self._schedule_entries.move_to_end(key)
             return hit
 
     def schedule_put(self, key: tuple, breakdown: TimingBreakdown) -> None:
         if self.schedule_maxsize < 1:
             return
         with self._lock:
-            # Re-inserting an existing key must refresh its recency:
-            # without move_to_end a re-put entry kept its stale LRU
-            # position and could be evicted as if it were the oldest.
-            self._schedule_entries[key] = breakdown
-            self._schedule_entries.move_to_end(key)
+            self._insert("schedule", key, breakdown)
             self._journal("schedule", key)
-            if len(self._schedule_entries) > self.schedule_maxsize:
-                self._schedule_entries.popitem(last=False)
-                self.stats.schedule_evictions += 1
 
-    # -- canonical level (opt-in; see __init__) ---------------------------------
+    # -- listing and cross-worker sync ------------------------------------------
 
-    @property
-    def canonical_entries(self) -> int:
-        return len(self._canonical_entries)
+    def entries(self) -> list[tuple[str, tuple, TimingBreakdown]]:
+        """Every entry as a (level, key, breakdown) triple: the nest
+        level, then the schedule level, each least recent first.
 
-    def canonical_get(self, key: tuple) -> TimingBreakdown | None:
-        """Cached breakdown for a *canonical* schedule key, if any.
-
-        Only sound for keys built from
-        :func:`repro.analysis.canonical.canonical_schedule_key`: the
-        canonicalizer guarantees equal keys lower to structurally
-        identical nests, so the replayed breakdown is bit-identical to
-        what re-timing would produce.
+        The triples are structural and picklable: :meth:`save` encodes
+        them, the dataset exporter reads the schedule level, a
+        supervisor warm-starts a respawned worker with them, and the
+        first drain ships them.
         """
-        if self.canonical_maxsize < 1:
-            return None
         with self._lock:
-            hit = self._canonical_entries.get(key)
-            if hit is None:
-                self.stats.misses += 1
-                self.stats.canonical_misses += 1
-                return None
-            self.stats.hits += 1
-            self.stats.canonical_hits += 1
-            self._canonical_entries.move_to_end(key)
-            return hit
-
-    def canonical_put(self, key: tuple, breakdown: TimingBreakdown) -> None:
-        if self.canonical_maxsize < 1:
-            return
-        with self._lock:
-            self._canonical_entries[key] = breakdown
-            self._canonical_entries.move_to_end(key)
-            # Deliberately not journaled: canonical entries stay local.
-            if len(self._canonical_entries) > self.canonical_maxsize:
-                self._canonical_entries.popitem(last=False)
-                self.stats.canonical_evictions += 1
-
-    # -- cross-worker sync ------------------------------------------------------
+            return [
+                (level, key, value)
+                for level, lru in self._levels.items()
+                for key, value in lru.entries.items()
+            ]
 
     def drain_updates(self) -> list[tuple[str, tuple, TimingBreakdown]]:
         """Entries inserted locally since the last drain (still present).
 
-        The returned (level, key, breakdown) triples are structural and
-        picklable — parallel rollout workers exchange them to keep their
-        caches warm with each other's timings.  The first drain (and any
-        drain after a journal overflow) exports everything currently
-        cached, so a late-joining consumer still gets the full state.
+        Parallel rollout workers exchange these :meth:`entries`-format
+        triples to keep their caches warm with each other's timings.
+        The first drain (and any drain after a journal overflow) returns
+        :meth:`entries`, so a late-joining consumer still gets the full
+        state; later drains cost time in the new entries only.
         """
         with self._lock:
             if not self._journaling or self._journal_overflow:
                 self._journaling = True
                 self._journal_overflow = False
                 self._updates.clear()
-                return [
-                    ("nest", key, value)
-                    for key, value in self._entries.items()
-                ] + [
-                    ("schedule", key, value)
-                    for key, value in self._schedule_entries.items()
-                ]
+                return self.entries()
             out = []
             for level, key in self._updates:
-                store = (
-                    self._entries if level == "nest"
-                    else self._schedule_entries
-                )
-                value = store.get(key)
+                value = self._levels[level].entries.get(key)
                 if value is not None:
                     out.append((level, key, value))
             self._updates.clear()
@@ -536,71 +501,21 @@ class ExecutionCache:
     def absorb_updates(
         self, updates: list[tuple[str, tuple, TimingBreakdown]]
     ) -> int:
-        """Insert foreign entries (no stats, no re-journal); returns how
-        many were new."""
+        """Insert foreign entries; returns how many were new.
+
+        Keys already present are skipped.  Absorbed entries are not
+        journaled (their sender already shipped them) and count no hits
+        or misses, but the evictions they cause are counted.
+        """
         added = 0
         with self._lock:
             for level, key, value in updates:
-                if level == "canonical":
-                    # Canonical entries are local-only: a foreign
-                    # worker's canonicalizer configuration (registered
-                    # specs, hook overrides) may differ, so its
-                    # canonical keys must never be absorbed.
+                lru = self._levels[level]
+                if lru.maxsize < 1 or key in lru.entries:
                     continue
-                if level == "schedule":
-                    if self.schedule_maxsize < 1:
-                        continue
-                    store, cap = self._schedule_entries, self.schedule_maxsize
-                else:
-                    store, cap = self._entries, self.maxsize
-                if key in store:
-                    continue
-                store[key] = value
+                self._insert(level, key, value)
                 added += 1
-                if len(store) > cap:
-                    store.popitem(last=False)
         return added
-
-    def schedule_items(self) -> list[tuple[tuple, TimingBreakdown]]:
-        """Snapshot of the schedule-level entries (key, breakdown).
-
-        The dataset exporter's input: every key is an identity-free
-        structural tuple, every value the exact whole-function breakdown
-        the cost model produced for it.
-        """
-        with self._lock:
-            return list(self._schedule_entries.items())
-
-    def begin_journal(self) -> None:
-        """Start journaling *without* the first-drain full export.
-
-        For a warm-started replacement worker everything currently in
-        the cache is already known to its peers, so the next
-        :meth:`drain_updates` should ship only genuinely new entries —
-        the default first-drain semantics would re-broadcast the whole
-        store through the next sync.
-        """
-        with self._lock:
-            self._journaling = True
-            self._journal_overflow = False
-            self._updates.clear()
-
-    def export_entries(self) -> list[tuple[str, tuple, TimingBreakdown]]:
-        """Snapshot of *all* entries in :meth:`drain_updates` format.
-
-        Unlike a drain this does not consume the journal: it is the
-        warm-start payload a supervisor ships to a respawned rollout
-        worker, whose fresh cache would otherwise miss every entry its
-        predecessor (and past syncs) had already paid for.
-        """
-        with self._lock:
-            return [
-                ("nest", key, value)
-                for key, value in self._entries.items()
-            ] + [
-                ("schedule", key, value)
-                for key, value in self._schedule_entries.items()
-            ]
 
     # -- persistence ------------------------------------------------------------
 
@@ -608,30 +523,21 @@ class ExecutionCache:
         """Write both cache levels to ``path`` as JSON; returns the
         number of entries written.
 
-        Entries are the identity-free (level, key, breakdown) triples of
-        :meth:`drain_updates`, encoded by :mod:`repro.machine.persist`
-        and sorted canonically — the same cache contents always produce
-        a byte-identical file.  Entries whose keys fall outside the
-        persistable space (e.g. exotic plugin annotations) are skipped,
-        never corrupted.
+        Rows are the :meth:`entries` triples, encoded by
+        :mod:`repro.machine.persist` and sorted canonically — the same
+        cache contents always produce a byte-identical file.  Entries
+        whose keys fall outside the persistable space (e.g. exotic
+        plugin annotations) are skipped, never corrupted.
 
         The write is atomic (temp + rename) with a ``.sha256`` content
         sidecar, so a crash mid-save never truncates the previous cache
-        and a torn write is detected on load.  The file's own bytes are
-        unchanged from earlier versions.
+        and a torn write is detected on load.
         """
         from ..fault.atomic import atomic_write_text
         from .persist import encode_entry
 
-        with self._lock:
-            triples = [
-                ("nest", key, value) for key, value in self._entries.items()
-            ] + [
-                ("schedule", key, value)
-                for key, value in self._schedule_entries.items()
-            ]
         rows = []
-        for level, key, value in triples:
+        for level, key, value in self.entries():
             row = encode_entry(level, key, value)
             if row is not None:
                 rows.append(row)
@@ -705,7 +611,10 @@ class ExecutionCache:
         dropped = 0
         for row in rows:
             try:
-                updates.append(decode_entry(row))
+                update = decode_entry(row)
+                if update[0] not in self._levels:
+                    raise PersistError(f"unknown cache level {update[0]!r}")
+                updates.append(update)
             except (PersistError, TypeError, ValueError, KeyError) as error:
                 if not salvage:
                     raise CacheFormatError(
@@ -723,9 +632,8 @@ class ExecutionCache:
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
-            self._schedule_entries.clear()
-            self._canonical_entries.clear()
+            for lru in self._levels.values():
+                lru.entries.clear()
             self._updates.clear()
 
 
@@ -735,31 +643,19 @@ class CachingExecutor(Executor):
     Semantics-preserving by construction: on a miss the exact
     :func:`nest_time` result is stored and replayed verbatim on later
     hits, so cached and uncached timings are bit-identical.  A cache can
-    be shared between executors (see :func:`pooled_executor`).
+    be shared between executors (see :func:`pooled_executor`); pass one
+    to choose its size.
     """
 
     def __init__(
         self,
         spec: MachineSpec = XEON_E5_2680_V4,
         cache: ExecutionCache | None = None,
-        maxsize: int = 8192,
-        canonical: bool = False,
     ):
         super().__init__(spec)
         # NB: an empty ExecutionCache is falsy (it has __len__), so the
         # sentinel must be an explicit None check.
-        self.cache = cache if cache is not None else ExecutionCache(
-            maxsize=maxsize
-        )
-        #: Opt-in canonical-key lookup: after an exact schedule-key
-        #: miss, try the canonical level — schedules equivalent under
-        #: :mod:`repro.analysis.canonical` replay each other's timings
-        #: (and the hit is promoted to the exact level).  Off by
-        #: default: the default path never touches the canonical level,
-        #: so counters and timings stay bit-identical to the seed.
-        self.canonical = canonical
-        if canonical and self.cache.canonical_maxsize < 1:
-            self.cache.canonical_maxsize = self.cache.maxsize
+        self.cache = cache if cache is not None else ExecutionCache()
 
     @property
     def stats(self) -> CacheStats:
@@ -803,46 +699,15 @@ class CachingExecutor(Executor):
             self.cache.schedule_put(key, result.breakdown)
         return result
 
-    def _canonical_key(self, scheduled: ScheduledFunction) -> tuple | None:
-        fingerprint = func_fingerprint(scheduled.func)
-        if fingerprint is None:
-            return None
-        from ..analysis.canonical import canonical_schedule_key
-
-        state = canonical_schedule_key(scheduled)
-        if state is None:
-            return None
-        return (
-            "canonical",
-            self.spec,
-            fingerprint,
-            state,
-            _active_lowering_hooks(),
-        )
-
     def run_scheduled(self, scheduled: ScheduledFunction) -> ExecutionResult:
         key = self._schedule_key(scheduled)
         if key is not None:
             hit = self.cache.schedule_get(key)
             if hit is not None:
                 return ExecutionResult(hit.total, hit)
-        canonical_key = (
-            self._canonical_key(scheduled) if self.canonical else None
-        )
-        if canonical_key is not None:
-            hit = self.cache.canonical_get(canonical_key)
-            if hit is not None:
-                # Promote: canonical-equal schedules lower identically,
-                # so the breakdown is exactly what this schedule's
-                # exact key would store.
-                if key is not None:
-                    self.cache.schedule_put(key, hit)
-                return ExecutionResult(hit.total, hit)
         result = self._timed_nests(scheduled.lower())
         if key is not None:
             self.cache.schedule_put(key, result.breakdown)
-        if canonical_key is not None:
-            self.cache.canonical_put(canonical_key, result.breakdown)
         return result
 
 
@@ -864,11 +729,7 @@ def retargeted_executor(executor: Executor, spec: MachineSpec) -> Executor:
         return retarget(spec)
     cache = getattr(executor, "cache", None)
     if cache is not None:
-        return CachingExecutor(
-            spec,
-            cache=cache,
-            canonical=bool(getattr(executor, "canonical", False)),
-        )
+        return CachingExecutor(spec, cache=cache)
     return type(executor)(spec)
 
 

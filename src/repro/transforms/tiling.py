@@ -9,7 +9,6 @@ on every level corresponds to plain parallelization without blocking.
 
 from __future__ import annotations
 
-from ..ir.ops import IteratorType
 from .records import TiledParallelization, Tiling
 from .scheduled_op import ScheduledOp, TransformError
 
@@ -25,17 +24,23 @@ def apply_tiled_parallelization(
 ) -> None:
     """Apply tiling + parallelization of the generated tile band.
 
-    Follows ``scf.forall`` semantics: only parallel iterators may carry a
-    parallel tile loop, so every tiled position must be a parallel
-    iterator.
+    Follows ``scf.forall`` semantics: a parallel tile loop may not run a
+    dimension that carries a dependence.  The check is the spec's
+    verifier hook (``TransformSpec.violations`` over ``banned_dims``:
+    carried or coupled dims), so apply, the masks and
+    ``verify_schedule`` read one rule, never the declared iterator
+    types.
     """
-    for position, size in enumerate(transform.sizes):
-        if size <= 0:
-            continue
-        if schedule.iterator_type_at(position) is not IteratorType.PARALLEL:
-            raise TransformError(
-                f"cannot parallelize reduction loop at position {position}"
-            )
+    # Imported lazily: the registry imports this module, and
+    # ``repro.analysis`` imports ``repro.transforms`` for the verifier.
+    from ..analysis.dependence import analyze_op
+    from .registry import get_spec
+
+    violations = get_spec("tiled_parallelization").violations(
+        analyze_op(schedule.op), schedule, transform, has_producer=False
+    )
+    if violations:
+        raise TransformError(f"cannot parallelize: {violations[0]}")
     schedule.materialize_band(transform.sizes, parallel=True)
     schedule.history.append(transform)
 

@@ -210,8 +210,13 @@ class TestCachePersistence:
         assert written > 0
         loaded = ExecutionCache()
         assert loaded.load(path) == written
-        original = dict(corpus_cache.schedule_items())
-        restored = dict(loaded.schedule_items())
+        original = {
+            (level, key): value
+            for level, key, value in corpus_cache.entries()
+        }
+        restored = {
+            (level, key): value for level, key, value in loaded.entries()
+        }
         assert set(restored) == set(original)
         for key, breakdown in original.items():
             assert restored[key] == breakdown  # bit-identical timings
@@ -283,7 +288,7 @@ class TestExporter:
         and every schedule-level entry must export."""
         assert corpus_cache.schedule_maxsize >= 1 << 20
         exported = len(export_dataset(corpus_cache))
-        assert exported == len(corpus_cache.schedule_items())
+        assert exported == corpus_cache.schedule_entries
 
     def test_empty_cache_exports_empty_dataset(self):
         dataset = export_dataset(ExecutionCache())

@@ -200,6 +200,64 @@ class TestCacheMechanics:
         second.run_baseline(func)
         assert cache.stats.hits == 1
 
+    def test_default_executor_unchanged(self):
+        """A re-spelled schedule (split vs joint tiling of one matmul)
+        misses the schedule level and hits the nest level: one lowering
+        plus fingerprint, and one evaluation in total."""
+        func_a, op_a = _matmul_func()
+        split = ScheduledFunction(func_a)
+        split.apply(op_a, Tiling((8, 0, 0)))
+        split.apply(op_a, Tiling((0, 8, 0)))
+        func_b, op_b = _matmul_func()
+        joint = ScheduledFunction(func_b)
+        joint.apply(op_b, Tiling((8, 8, 0)))
+        caching = CachingExecutor()
+        expected = Executor().run_scheduled(split).seconds
+        assert caching.run_scheduled(split).seconds == expected
+        assert caching.run_scheduled(joint).seconds == expected
+        assert caching.stats.schedule_hits == 0
+        assert caching.stats.hits == 1      # nest-fingerprint level
+        assert caching.stats.evaluations == 1
+
+    def test_absorb_counts_evictions(self):
+        """Absorbed entries that overflow a level evict and count it."""
+        source = CachingExecutor(cache=ExecutionCache())
+        for k in (8, 16, 32):
+            source.run_baseline(_matmul_func(16, 16, k)[0])
+        entries = source.cache.drain_updates()  # first drain: everything
+        assert len(entries) == 6  # one nest + one schedule entry each
+        target = ExecutionCache(maxsize=2)
+        assert target.absorb_updates(entries) == 6
+        assert len(target) == 2 and target.schedule_entries == 2
+        assert target.stats.evictions == 1
+        assert target.stats.schedule_evictions == 1
+        assert target.stats.requests == 0
+
+    def test_load_counts_evictions(self, tmp_path):
+        source = CachingExecutor(cache=ExecutionCache())
+        for k in (8, 16, 32):
+            source.run_baseline(_matmul_func(16, 16, k)[0])
+        path = tmp_path / "cache.json"
+        assert source.cache.save(path) == 6
+        target = ExecutionCache(maxsize=2)
+        assert target.load(path) == 6
+        assert target.stats.evictions + target.stats.schedule_evictions == 2
+
+    def test_entries_lists_nest_then_schedule_in_lru_order(self):
+        cache = ExecutionCache()
+        caching = CachingExecutor(cache=cache)
+        func_a = _matmul_func(16, 16, 8)[0]
+        func_b = _matmul_func(16, 16, 16)[0]
+        caching.run_baseline(func_a)
+        caching.run_baseline(func_b)
+        caching.run_baseline(func_a)  # schedule hit: A becomes most recent
+        a = Executor().run_baseline(func_a).seconds
+        b = Executor().run_baseline(func_b).seconds
+        assert a != b
+        assert [(level, value.total) for level, _, value in cache.entries()] == [
+            ("nest", a), ("nest", b), ("schedule", b), ("schedule", a)
+        ]
+
 
 class TestPooledService:
     def test_pool_shared_per_spec(self):
@@ -225,104 +283,3 @@ class TestPooledService:
             assert isinstance(one.executor, CachingExecutor)
         finally:
             reset_pool()
-
-
-class TestCanonicalCacheLevel:
-    """The opt-in third cache level keyed by canonical schedule keys."""
-
-    def _split_and_joint(self):
-        """Two schedule states with equal canonical but distinct exact
-        keys (split vs joint tiling of the same matmul)."""
-        func_a, op_a = _matmul_func()
-        split = ScheduledFunction(func_a)
-        split.apply(op_a, Tiling((8, 0, 0)))
-        split.apply(op_a, Tiling((0, 8, 0)))
-        func_b, op_b = _matmul_func()
-        joint = ScheduledFunction(func_b)
-        joint.apply(op_b, Tiling((8, 8, 0)))
-        return split, joint
-
-    def test_canonical_hit_counted_distinctly(self):
-        split, joint = self._split_and_joint()
-        caching = CachingExecutor(canonical=True)
-        expected = Executor().run_scheduled(split).seconds
-        miss = caching.run_scheduled(split)
-        hit = caching.run_scheduled(joint)
-        assert miss.seconds == expected
-        assert hit.seconds == expected
-        # One overall hit, attributed to the canonical level only —
-        # never double-counted as a schedule-level hit.
-        assert caching.stats.canonical_hits == 1
-        assert caching.stats.schedule_hits == 0
-        assert caching.stats.hits == 1
-        assert caching.stats.evaluations == 1
-
-    def test_canonical_hit_promotes_exact_key(self):
-        split, joint = self._split_and_joint()
-        caching = CachingExecutor(canonical=True)
-        caching.run_scheduled(split)
-        caching.run_scheduled(joint)   # canonical hit, promoted
-        caching.run_scheduled(joint)   # now an exact schedule hit
-        assert caching.stats.schedule_hits == 1
-        assert caching.stats.canonical_hits == 1
-        assert caching.stats.evaluations == 1
-
-    def test_default_executor_unchanged(self):
-        """canonical=False keeps counters and timings bit-identical:
-        the equal-nest state still falls through to the nest level (one
-        lowering + fingerprint), and no canonical counters move."""
-        split, joint = self._split_and_joint()
-        caching = CachingExecutor()
-        caching.run_scheduled(split)
-        caching.run_scheduled(joint)
-        assert caching.stats.canonical_hits == 0
-        assert caching.stats.canonical_misses == 0
-        assert caching.stats.schedule_hits == 0
-        assert caching.stats.hits == 1      # nest-fingerprint level
-        assert caching.stats.evaluations == 1
-        assert caching.cache.canonical_entries == 0
-
-    def test_canonical_entries_not_persisted(self):
-        import tempfile
-        from pathlib import Path
-
-        split, joint = self._split_and_joint()
-        caching = CachingExecutor(canonical=True)
-        caching.run_scheduled(split)
-        assert caching.cache.canonical_entries > 0
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "cache.json"
-            saved = caching.cache.save(path)
-            fresh = ExecutionCache()
-            loaded = fresh.load(path)
-            assert loaded == saved
-            assert fresh.canonical_entries == 0
-        # Journaled updates exclude the canonical level too.
-        levels = {level for level, _, _ in caching.cache.export_entries()}
-        assert "canonical" not in levels
-
-    def test_absorb_skips_foreign_canonical_entries(self):
-        split, _ = self._split_and_joint()
-        caching = CachingExecutor(canonical=True)
-        caching.run_scheduled(split)
-        breakdown = next(iter(caching.cache._canonical_entries.values()))
-        target = ExecutionCache(canonical_maxsize=16)
-        target.absorb_updates([("canonical", ("foreign-key",), breakdown)])
-        assert target.canonical_entries == 0
-
-    def test_clear_drops_canonical_entries(self):
-        split, _ = self._split_and_joint()
-        caching = CachingExecutor(canonical=True)
-        caching.run_scheduled(split)
-        caching.cache.clear()
-        assert caching.cache.canonical_entries == 0
-
-    def test_snapshot_includes_canonical_counters(self):
-        split, joint = self._split_and_joint()
-        caching = CachingExecutor(canonical=True)
-        caching.run_scheduled(split)
-        caching.run_scheduled(joint)
-        snapshot = caching.stats.snapshot()
-        assert snapshot["canonical_hits"] == 1
-        assert snapshot["canonical_misses"] == 1
-        assert snapshot["evaluations"] == 1

@@ -284,6 +284,64 @@ class TestSupervisedRecovery:
             assert supervised.telemetry()["respawns"] >= 1
         assert record == expected
 
+    def test_respawned_worker_reships_seeded_entries_once(self):
+        """A respawned worker is warm-started with the parent's cache;
+        its first drain re-ships those entries once, peers skip them,
+        and the next sync with no steps between exchanges nothing."""
+        funcs = [_matmul_func(), _chain_func()]
+
+        def run(kill):
+            with SupervisedAsyncVecEnv(
+                2, config=CONFIG, recv_timeout=30.0
+            ) as supervised:
+                rngs = [np.random.default_rng(7 + i) for i in range(2)]
+                vec_obs = supervised.reset(list(funcs))
+                record, syncs, seeded = [], [], None
+                for step in range(64):
+                    actions = [
+                        _scripted_action(
+                            vec_obs.observation_of(index), rngs[index], CONFIG
+                        )
+                        if vec_obs.active[index]
+                        else None
+                        for index in range(2)
+                    ]
+                    if all(action is None for action in actions):
+                        break
+                    if step == 1:
+                        syncs.append(supervised.sync_timing_caches())
+                        seeded = len(supervised.executor.cache.entries())
+                    if kill and step == 2:
+                        # mid-episode: the victim is still stepping
+                        victim = next(
+                            index
+                            for index, action in enumerate(actions)
+                            if action is not None
+                        )
+                        supervised._processes[victim].kill()
+                        supervised._processes[victim].join(timeout=5)
+                    result = supervised.step(actions)
+                    record.append(
+                        (
+                            result.rewards.tolist(),
+                            result.dones.tolist(),
+                            [info.get("speedup") for info in result.infos],
+                        )
+                    )
+                    vec_obs = result.observation
+                syncs.append(supervised.sync_timing_caches())
+                syncs.append(supervised.sync_timing_caches())
+                assert supervised.telemetry()["respawns"] == int(kill)
+            return record, syncs, seeded
+
+        plain_record, plain_syncs, seeded = run(kill=False)
+        record, syncs, _ = run(kill=True)
+        assert record == plain_record == _baseline_record(funcs, seed=7)
+        assert seeded > 0
+        assert syncs[0] == plain_syncs[0]
+        assert syncs[1] == plain_syncs[1] + seeded
+        assert syncs[2] == plain_syncs[2] == 0
+
     def test_heartbeat_respawns_dead_workers(self):
         with SupervisedAsyncVecEnv(
             2, config=CONFIG, recv_timeout=30.0

@@ -281,6 +281,16 @@ class TestCachePersistence:
         assert excinfo.value.path == path
         assert "unknown-tag" in str(excinfo.value)
 
+    def test_unknown_level_names_file_and_row(self, tmp_path):
+        path = tmp_path / "cache.json"
+        self._warm_cache().save(path)
+        checksum_path(path).unlink()
+        text = path.read_text()
+        assert '["schedule",' in text
+        path.write_text(text.replace('["schedule",', '["canonical",'))
+        with pytest.raises(CacheFormatError, match="unknown cache level"):
+            ExecutionCache().load(path)
+
     def test_bad_version_still_raises_value_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": 99, "entries": []}')

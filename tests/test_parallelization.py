@@ -22,7 +22,7 @@ from repro.transforms import (
     get_spec,
     legal_parallel_positions,
 )
-from repro.env.config import extended_config, small_config
+from repro.env.config import PAPER_CONFIG, extended_config, small_config
 from repro.env.masking import MaskCache, compute_mask, mask_cache_key
 
 
@@ -168,6 +168,14 @@ class TestMaskCacheKey:
         assert len(mask_a.transformation) == len(base.transforms)
         assert len(mask_b.transformation) == len(extended.transforms)
         assert cache.misses == 2
+        # Same transforms, different sizes: small_config's (6, 6) tile
+        # mask must not be served for the paper's (12, 8) one.
+        assert PAPER_CONFIG.transforms == base.transforms
+        mask_c = cache.lookup(schedule, PAPER_CONFIG, has_producer=False)
+        expected = compute_mask(schedule, PAPER_CONFIG, has_producer=False)
+        assert mask_c.tile_tiling.shape == (12, 8)
+        assert np.array_equal(mask_c.tile_tiling, expected.tile_tiling)
+        assert cache.misses == 3
 
 
 class TestEnvEpisode:

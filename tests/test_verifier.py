@@ -8,9 +8,9 @@ analyzer-accepted schedules are interpreter-equivalent to the
 unscheduled op (bit-identical when the reduction visit order is
 preserved), and analyzer-rejected ones either raise or observably
 diverge under racy parallel execution; (3) soundness — every action
-the masks allow on a coupled or a mislabeled op respects the
-dependences (restated in the test, apart from the specs' rules),
-applies, and passes the verifier.
+the masks allow on a coupled op, a mislabeled matmul and a copy
+declared a reduction respects the dependences (restated in the test,
+apart from the specs' rules), applies, and passes the verifier.
 """
 
 from dataclasses import replace
@@ -116,6 +116,30 @@ def _mislabeled_matmul(m=8, n=8, k=8):
     return _single_op_func(op), op
 
 
+def _reduction_labeled_copy(m=8, n=8):
+    """out[i, j] = in[i, j] with its first loop (wrongly) declared a
+    reduction: no dependence is carried, so every dim may run parallel."""
+    in_, out = tensor([m, n]), tensor([m, n])
+    identity = AffineMap.get(2, 0, [dim(0), dim(1)])
+    op = generic(
+        inputs=[in_],
+        outputs=[out],
+        indexing_maps=[identity, identity],
+        iterator_types=[IteratorType.REDUCTION, IteratorType.PARALLEL],
+        body=body_from_ops(2, [], yield_index=0),
+    )
+    return _single_op_func(op), op
+
+
+def _racy_band(scheduled, op, record):
+    """Materialize ``record``'s parallel band without the apply layer's
+    check, as a hand-built schedule would."""
+    schedule = scheduled.schedule_of(op)
+    schedule.materialize_band(record.sizes, parallel=True)
+    schedule.history.append(record)
+    return schedule
+
+
 class TestCoupledAnalysis:
     def test_both_dims_coupled(self):
         _, op = _coupled_func()
@@ -168,19 +192,21 @@ class TestRegressionPerTransform:
             scheduled.apply(op, Parallelize((2,)))
 
     def test_mislabeled_parallel_caught_only_by_analyzer(self):
-        # iterator types say parallel, so the heuristic apply layer
-        # accepts tiled parallelization of the reduction loop; the
-        # verifier re-derives the truth from the indexing maps.
+        # iterator types say parallel, but the apply layer reads the
+        # dependence facts and rejects tiled parallelization of the
+        # reduction loop, like the analyzer-backed plugin.
         func, op = _mislabeled_matmul()
+        with pytest.raises(TransformError, match="dependence-carried"):
+            ScheduledFunction(func).apply(op, TiledParallelization((0, 0, 2)))
+        with pytest.raises(TransformError):
+            ScheduledFunction(func).apply(op, Parallelize((2,)))
+        # a band built without the apply layer is still flagged: the
+        # verifier re-derives the truth from the indexing maps.
         scheduled = ScheduledFunction(func)
-        scheduled.apply(op, TiledParallelization((0, 0, 2)))
+        _racy_band(scheduled, op, TiledParallelization((0, 0, 2)))
         violations = verify_schedule(func, scheduled)
         assert violations
         assert "dependence-carried" in violations[0].detail
-        # the analyzer-backed plugin rejects it outright
-        fresh = ScheduledFunction(func)
-        with pytest.raises(TransformError):
-            fresh.apply(op, Parallelize((2,)))
 
     def test_fusion_legal(self):
         x, y = tensor([16, 16]), tensor([16, 16])
@@ -261,13 +287,15 @@ class TestSemanticProperty:
         # racy parallel execution of the mislabeled matmul's reduction
         # loop diverges from the reference result.
         func, op = _mislabeled_matmul()
+        with pytest.raises(TransformError, match="dependence-carried"):
+            ScheduledFunction(func).apply(op, TiledParallelization((0, 0, 2)))
         scheduled = ScheduledFunction(func)
-        scheduled.apply(op, TiledParallelization((0, 0, 2)))
+        schedule = _racy_band(scheduled, op, TiledParallelization((0, 0, 2)))
         assert verify_schedule(func, scheduled)
         rng = np.random.default_rng(7)
         operands = random_operands(op, rng)
         expected = evaluate_op(op, operands)[0]
-        got = evaluate_scheduled_op_racy(scheduled.schedule_of(op), operands)[0]
+        got = evaluate_scheduled_op_racy(schedule, operands)[0]
         assert not np.allclose(got, expected)
 
 
@@ -327,7 +355,9 @@ class TestMaskSoundness:
         "base", [small_config(), PAPER_CONFIG], ids=["small", "paper"]
     )
     @pytest.mark.parametrize(
-        "build", [_coupled_func, _mislabeled_matmul], ids=["coupled", "mislabeled"]
+        "build",
+        [_coupled_func, _mislabeled_matmul, _reduction_labeled_copy],
+        ids=["coupled", "mislabeled", "copy"],
     )
     def test_mask_legal_actions_verify(self, build, base, mode):
         config = replace(base, interchange_mode=mode)
