@@ -61,12 +61,6 @@ TRACKED_METRICS: list[tuple[str, tuple[str, ...], str]] = [
     # costs a supervised rollout sweep relative to the unsupervised
     # pool (a same-box wall-clock ratio, machine-portable).
     ("fault_tolerance.json", ("recovery_overhead_ratio",), "lower"),
-    # Static pruning: what fraction of beam candidates the canonical +
-    # bound layer removes before the cost model sees them, and the
-    # geomean wall-clock ratio of pruned vs unpruned search (same-box
-    # ratios, machine-portable).
-    ("pruning.json", ("pruned_candidate_fraction",), "higher"),
-    ("pruning.json", ("pruned_search_time_ratio",), "lower"),
 ]
 
 

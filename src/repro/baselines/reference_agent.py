@@ -40,30 +40,6 @@ class _BeamState:
     history: list[Transformation] = field(default_factory=list)
 
 
-@dataclass
-class PrunedState:
-    """One search state dropped by the static pruning layer.
-
-    Captured (``capture_pruned=True``) so :func:`repro.analysis.bounds.
-    prune_audit` can replay the state and exhaustively verify no
-    completion of it would have beaten the search result.
-    ``final_score`` is patched to the op's final best score once the
-    op's search finishes.
-    """
-
-    op: LinalgOp
-    scheduled: ScheduledFunction
-    steps: int
-    #: "canonical" (duplicate of a kept equivalent state) or "bounds"
-    #: (no completion can beat the incumbent).
-    kind: str
-    #: the static floor that justified a "bounds" prune (0.0 otherwise)
-    lower_bound: float
-    #: best score at prune time
-    incumbent: float
-    final_score: float = 0.0
-
-
 def candidate_transformations(
     schedule: ScheduledOp,
     has_producer: bool,
@@ -104,8 +80,6 @@ class BeamSearchAgent(OptimizationMethod):
         evaluator=None,
         verify_pool: int = 12,
         cost_beam_factor: int = 6,
-        prune: bool = False,
-        capture_pruned: bool = False,
     ):
         if spec is not None:
             super().__init__(spec, executor=executor)
@@ -113,20 +87,6 @@ class BeamSearchAgent(OptimizationMethod):
             super().__init__(executor=executor)
         self.beam_width = beam_width
         self.config = config
-        #: Opt-in static pruning (repro.analysis.canonical / .bounds):
-        #: expansions whose canonical key was already reached are
-        #: dropped before scoring, and (real-eval mode only) expansions
-        #: whose completion lower bound exceeds the incumbent are cut.
-        #: Off by default — the default search is bit-identical.
-        self.prune = prune
-        #: With ``prune``: keep a PrunedState log for the audit harness.
-        self.capture_pruned = capture_pruned
-        self.prune_log: list[PrunedState] = []
-        #: Pruning telemetry: states that reached the scoring gate while
-        #: pruning was on, and how many each mechanism removed.
-        self.prune_candidates = 0
-        self.pruned_canonical = 0
-        self.pruned_bounds = 0
         #: Cost mode only: how many of the model's best-ranked states
         #: (across the whole per-op search) are real-evaluated at the
         #: end to pick the winner.
@@ -228,9 +188,6 @@ class BeamSearchAgent(OptimizationMethod):
     def _search_op(
         self, scheduled: ScheduledFunction, op: LinalgOp
     ) -> ScheduledFunction:
-        if self.prune:
-            from ..analysis.bounds import completion_lower_seconds
-            from ..analysis.canonical import canonical_schedule_key
         initial = _BeamState(
             scheduled=scheduled, steps=0, terminal=False, score=0.0
         )
@@ -238,18 +195,6 @@ class BeamSearchAgent(OptimizationMethod):
         beam = [initial]
         best = initial
         pool: list[_BeamState] = []
-        # Canonical dedup persists ACROSS rounds (unlike the per-round
-        # exact-key dedup): an equivalent state reached deeper can never
-        # beat the shallower copy already expanded — it has the same
-        # lowered nest and strictly less remaining budget.  Seeded with
-        # the base state so no-op sequences (stop, identity interchange)
-        # are never re-scored.
-        seen_canonical: set[tuple] = set()
-        log_start = len(self.prune_log)
-        if self.prune:
-            base_key = canonical_schedule_key(scheduled)
-            if base_key is not None:
-                seen_canonical.add(base_key)
         for _ in range(self.config.max_schedule_length):
             expansions: list[_BeamState] = []
             keys: list[tuple | None] = []
@@ -278,66 +223,6 @@ class BeamSearchAgent(OptimizationMethod):
                         if key in seen_keys:
                             continue
                         seen_keys.add(key)
-                    if self.prune:
-                        self.prune_candidates += 1
-                        ckey = canonical_schedule_key(clone)
-                        if ckey is not None and (
-                            clone.fusable_producer_of(op) is not None
-                        ):
-                            # Fusion anchors to the *last band*, so two
-                            # equal-canonical states with different band
-                            # partitions have different fusion
-                            # completions — keep them distinct while a
-                            # fusion is still reachable.
-                            partition = tuple(
-                                len(band.loops)
-                                for band in clone.schedule_of(op).bands
-                            )
-                            ckey = (ckey, partition)
-                        if ckey is not None:
-                            if ckey in seen_canonical:
-                                self.pruned_canonical += 1
-                                if self.capture_pruned:
-                                    self.prune_log.append(
-                                        PrunedState(
-                                            op=op,
-                                            scheduled=clone,
-                                            steps=state.steps + 1,
-                                            kind="canonical",
-                                            lower_bound=0.0,
-                                            incumbent=best.score,
-                                        )
-                                    )
-                                continue
-                            seen_canonical.add(ckey)
-                        if self.evaluator is None:
-                            clone_schedule = clone.schedule_of(op)
-                            if clone_schedule.fused_into is None:
-                                # Machine-model floor on any completion
-                                # of this prefix: when even the floor
-                                # exceeds the incumbent, the whole
-                                # subtree is dead.  Skipped for ops
-                                # fused into a consumer (their score is
-                                # the root's nest, not their own) and
-                                # in cost mode (model scores are not
-                                # comparable to machine-model bounds).
-                                lower = completion_lower_seconds(
-                                    clone_schedule, self.spec
-                                )
-                                if lower > best.score:
-                                    self.pruned_bounds += 1
-                                    if self.capture_pruned:
-                                        self.prune_log.append(
-                                            PrunedState(
-                                                op=op,
-                                                scheduled=clone,
-                                                steps=state.steps + 1,
-                                                kind="bounds",
-                                                lower_bound=lower,
-                                                incumbent=best.score,
-                                            )
-                                        )
-                                    continue
                     record_spec = spec_for_record(type(record))
                     expansions.append(
                         _BeamState(
@@ -369,8 +254,6 @@ class BeamSearchAgent(OptimizationMethod):
                 pool.extend(beam)
                 pool.sort(key=lambda s: s.score)
                 del pool[self.verify_pool :]
-        for entry in self.prune_log[log_start:]:
-            entry.final_score = best.score
         if self.evaluator is not None:
             return self._select_real(op, initial, best, beam, pool)
         return best.scheduled
@@ -445,8 +328,6 @@ class GreedyAgent(BeamSearchAgent):
         config: EnvConfig = PAPER_CONFIG,
         executor=None,
         evaluator=None,
-        prune: bool = False,
-        capture_pruned: bool = False,
     ):
         super().__init__(
             spec,
@@ -454,6 +335,4 @@ class GreedyAgent(BeamSearchAgent):
             config=config,
             executor=executor,
             evaluator=evaluator,
-            prune=prune,
-            capture_pruned=capture_pruned,
         )

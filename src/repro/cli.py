@@ -6,8 +6,7 @@ Mirrors the paper artifact's shell scripts:
 * ``evaluate``  — run all methods on one benchmark suite;
 * ``train``     — train the PPO agent on the training mixture;
 * ``optimize``  — schedule one model/app and print the schedule script;
-* ``analyze``   — dependence report, schedule verification, or the
-  canonicalization and pruning audits;
+* ``analyze``   — dependence report and schedule verification;
 * ``profile``   — cProfile one training epoch (top cumulative entries);
 * ``cost-export`` — build a schedule-timing corpus and export it as a
   training dataset for the learned cost model;
@@ -465,60 +464,14 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Dependence-analysis report / schedule verification / audits.
+    """Dependence-analysis report / schedule verification.
 
     ``repro analyze <target>`` prints every op's dependence vectors and
     the function's flow edges; ``--script`` additionally replays a
     schedule script and reports the verifier's violations.
-    ``--canonical`` prints each op's canonical normal form for a target,
-    or (without a target) runs the canonical-key reward-invariance
-    sweep; ``--prune-report N`` audits the bound pruning layer by
-    exhaustively completing pruned prefixes.
     """
     from .analysis import DependenceGraph, verify_schedule
 
-    if args.prune_report:
-        from .analysis import prune_audit
-
-        report = prune_audit(
-            num_programs=args.prune_report,
-            seed=args.seed,
-            strict=not args.keep_going,
-        )
-        print(
-            f"prune audit over {report.programs} generated programs: "
-            f"{report.pruned_canonical} canonical + "
-            f"{report.pruned_bounds} bound prune(s), "
-            f"{report.completions_checked} completion(s) re-evaluated, "
-            f"{report.violations} violation(s)"
-        )
-        for example in report.examples:
-            print(f"  violation: {example}")
-        return 0 if report.violations == 0 else 1
-
-    if args.canonical is not None and not args.target:
-        from .analysis import canonical_sweep
-
-        stats = canonical_sweep(
-            num_programs=args.canonical or 500,
-            seed=args.seed,
-            strict=not args.keep_going,
-        )
-        print(
-            f"canonical sweep over {stats.programs} generated programs: "
-            f"{stats.schedules} schedules + {stats.variants} reordered "
-            f"variants, {stats.folded_groups} folded group(s), "
-            f"{stats.invariance_failures} key-invariance failure(s), "
-            f"{stats.reward_mismatches} reward mismatch(es) across "
-            f"{stats.pairs_checked} equal-key schedule(s)"
-        )
-        for example in stats.examples:
-            print(f"  failure: {example}")
-        return 0 if stats.failures == 0 else 1
-
-    if not args.target:
-        print("analyze needs a target (or --canonical / --prune-report N)")
-        return 1
     if args.target == "generated":
         import numpy as np
 
@@ -542,8 +495,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         from .transforms.script import apply_script
 
         scheduled = apply_script(func, Path(args.script).read_text())
-        if args.canonical is not None:
-            _print_canonical_forms(scheduled)
         violations = verify_schedule(func, scheduled)
         if not violations:
             print(f"\nschedule {args.script}: no violations")
@@ -552,22 +503,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         for violation in violations:
             print(f"  {violation.render()}")
         return 1
-    if args.canonical is not None:
-        from .transforms.pipeline import ScheduledFunction
-
-        _print_canonical_forms(ScheduledFunction(func))
     return 0
-
-
-def _print_canonical_forms(scheduled) -> None:
-    """Render every op's canonical normal form (``analyze --canonical``)."""
-    from .analysis import canonical_form
-
-    print("\ncanonical forms:")
-    for op in scheduled.func.walk_consumers_first():
-        print(f"  {op.name}:")
-        for line in canonical_form(scheduled.schedule_of(op)):
-            print(f"    {line}")
 
 
 def _cmd_cost_export(args: argparse.Namespace) -> int:
@@ -846,8 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "target",
-        nargs="?",
-        default=None,
         help="a model/app name (as for `optimize`) or 'generated' "
         "(one generator program, controlled by --seed)",
     )
@@ -856,32 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also replay this schedule script and report the "
         "legality verifier's violations",
-    )
-    analyze.add_argument(
-        "--canonical",
-        type=int,
-        nargs="?",
-        const=0,
-        default=None,
-        metavar="N",
-        help="with a target: print each op's canonical normal form; "
-        "without one: run the canonical-key reward-invariance sweep "
-        "over N generated programs (default 500)",
-    )
-    analyze.add_argument(
-        "--prune-report",
-        type=int,
-        default=0,
-        metavar="N",
-        help="audit the search pruning layer over N generated "
-        "programs: exhaustively complete every bound-pruned prefix "
-        "and check none beats the returned schedule",
-    )
-    analyze.add_argument(
-        "--keep-going",
-        action="store_true",
-        help="with --canonical/--prune-report: count failures "
-        "instead of stopping at the first one",
     )
     analyze.add_argument("--seed", type=int, default=0)
     analyze.set_defaults(func=_cmd_analyze)

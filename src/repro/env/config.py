@@ -84,12 +84,6 @@ class EnvConfig:
     #: it is scheduling for.  Off by default: the observation layout —
     #: and therefore checkpoints — stays bit-identical to the paper's.
     machine_features: bool = False
-    #: Mask actions that are provably *redundant* — legal, but leading
-    #: to a state already reachable for free (e.g. completing an
-    #: identity interchange).  Consults each spec's
-    #: ``redundant_param_mask`` hook (:mod:`repro.transforms.registry`).
-    #: Off by default: default masks stay bit-identical.
-    mask_redundant: bool = False
     #: Wrap the environment's executor in a
     #: :class:`~repro.fault.guard.GuardedExecutor` (wall-clock timeouts,
     #: bounded retries, quarantine).  A reward evaluation that fails

@@ -105,12 +105,7 @@ def compute_mask(
         heads[spec.name] = head
         if head is None or head.mask_key in params:
             continue
-        mask = spec.param_mask(ctx)
-        if config.mask_redundant:
-            redundant = spec.redundant_param_mask(ctx)
-            if redundant is not None:
-                mask = mask & ~redundant
-        params[head.mask_key] = mask
+        params[head.mask_key] = spec.param_mask(ctx)
 
     transformation = np.zeros(len(view), dtype=bool)
     for index, spec in enumerate(view):

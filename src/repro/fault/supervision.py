@@ -162,13 +162,17 @@ class SupervisedAsyncVecEnv(AsyncVecMlirRlEnv):
         # Warm-start the replacement from the parent's merged timing
         # cache: past syncs absorbed its predecessor's entries without
         # re-journaling them, so future syncs alone would leave the
-        # fresh worker re-executing everything already paid for.  Its
-        # first drain re-ships these entries once; peers skip them as
-        # already present.
+        # fresh worker re-executing everything already paid for.  A
+        # drain first (empty: the worker has timed nothing yet) starts
+        # its journal, and absorbed entries are never journaled, so its
+        # next drain ships only what it times itself, not these entries
+        # back to every peer.
         cache = getattr(self.executor, "cache", None)
         if cache is not None:
             entries = cache.entries()
             if entries:
+                self._send_raw(index, ("cache_drain",))
+                self._recv_raw(index, timeout=self.recv_timeout)
                 self._send_raw(index, ("cache_absorb", entries))
                 self._recv_raw(index, timeout=self.recv_timeout)
         if log is None:

@@ -251,23 +251,6 @@ class TransformSpec:
         """True mid multi-step sub-sequence (level-pointer interchange)."""
         return False
 
-    def redundant_param_mask(self, ctx: MaskContext) -> np.ndarray | None:
-        """Sub-actions provably *redundant* right now (True = redundant),
-        or None when this spec has no redundancy rule.
-
-        Consulted only when ``EnvConfig.mask_redundant`` is set: redundant
-        entries are subtracted from the spec's param mask so the policy
-        never samples an action whose resulting state is already reachable
-        for free (e.g. completing an identity interchange).  Rules must be
-        functions of the mask-cache key alone — schedule state key,
-        pointer state, config — never of unkeyed history, or cached masks
-        would alias; and they must never mask the last legal entry of a
-        head whose transform is otherwise legal (the liveness guarantee).
-        Specs sharing a ``mask_key`` share the refined mask, so a rule
-        must be redundant for *every* spec reading that key.
-        """
-        return None
-
     # -- the dependence rule ---------------------------------------------------
 
     def banned_dims(self, dep: "OpDependences") -> frozenset[int]:
@@ -361,24 +344,6 @@ class TransformSpec:
     ) -> "list[Loop]":
         """Post-process the lowered loop list (identity by default)."""
         return loops
-
-    # -- canonicalization (repro.analysis.canonical) ---------------------------
-
-    def canonicalize(
-        self, schedule: ScheduledOp, record: Transformation
-    ) -> Transformation | None:
-        """Normal-form replacement for an applied ``record``, or None.
-
-        Returning a record asserts that its entire effect on ``schedule``
-        is captured by the fields of
-        :meth:`~repro.transforms.scheduled_op.ScheduledOp.state_key`, so
-        the canonicalizer may fold it into the state-derived canonical
-        key (equivalent action orderings then collide on purpose).  The
-        default None is the conservative choice for plugins keeping
-        state *outside* the schedule: their records are carried verbatim
-        in the canonical key, so such schedules never alias.
-        """
-        return None
 
     # -- flat action space (ablation §VII-D2) ----------------------------------
 
@@ -714,12 +679,6 @@ class _TiledSpecBase(TransformSpec):
         )
         return self.record_class(sizes)
 
-    def canonicalize(
-        self, schedule: ScheduledOp, record: Transformation
-    ) -> Transformation | None:
-        # Tile bands live entirely in state_key (band loops + extents).
-        return record
-
     # search helpers -----------------------------------------------------------
 
     @staticmethod
@@ -941,12 +900,6 @@ class MultiTiledFusionSpec(TransformSpec):
     ) -> bool:
         return False
 
-    def canonicalize(
-        self, schedule: ScheduledOp, record: Transformation
-    ) -> Transformation | None:
-        # Fusion links + band anchors live in state_key's fused field.
-        return record
-
     def apply(
         self,
         scheduled: "ScheduledFunction",
@@ -1035,39 +988,6 @@ class InterchangeSpec(TransformSpec):
             and param_mask is not None
             and bool(param_mask.any())
         )
-
-    def redundant_param_mask(self, ctx: MaskContext) -> np.ndarray | None:
-        """Pointer-mode identity-completion guard.
-
-        When the placed pointer prefix is the identity and exactly two
-        positions remain, choosing the next-identity value forces the
-        whole permutation to the identity — an interchange that leaves
-        the schedule untouched while consuming a step.  Masking that one
-        value keeps the other remaining pointer legal (liveness) and is
-        a pure function of ``pointer_placed`` + depth, so cached masks
-        stay exact.  Enumerated mode has no redundancy: its candidate
-        set contains only genuine swaps.
-        """
-        if _enumerated_interchange(ctx.config):
-            return None
-        placed = ctx.pointer_placed
-        num_loops = ctx.schedule.num_loops
-        size = interchange_head_size(ctx.config)
-        if (
-            len(placed) == num_loops - 2
-            and placed == tuple(range(len(placed)))
-            and len(placed) < size
-        ):
-            redundant = np.zeros(size, dtype=bool)
-            redundant[len(placed)] = True
-            return redundant
-        return None
-
-    def canonicalize(
-        self, schedule: ScheduledOp, record: Transformation
-    ) -> Transformation | None:
-        # A permutation's entire effect is the resulting order vector.
-        return record
 
     def forces_continuation(self, ctx: MaskContext) -> bool:
         return ctx.in_pointer_sequence and not ctx.depth_overflow
@@ -1214,12 +1134,6 @@ class VectorizationSpec(TransformSpec):
             and can_vectorize(ctx.schedule)
         )
 
-    def canonicalize(
-        self, schedule: ScheduledOp, record: Transformation
-    ) -> Transformation | None:
-        # Fully captured by state_key's ``vectorized`` flag.
-        return record
-
     def decode(
         self, action: "EnvAction", num_loops: int, config: "EnvConfig"
     ) -> Transformation | None:
@@ -1262,12 +1176,6 @@ class NoTransformationSpec(TransformSpec):
         self, ctx: MaskContext, param_mask: np.ndarray | None
     ) -> bool:
         return True
-
-    def canonicalize(
-        self, schedule: ScheduledOp, record: Transformation
-    ) -> Transformation | None:
-        # The stop action changes no state at all — pure fold.
-        return record
 
     def decode(
         self, action: "EnvAction", num_loops: int, config: "EnvConfig"

@@ -162,12 +162,6 @@ class UnrollSpec(TransformSpec):
     def apply(self, scheduled, op, record) -> None:
         apply_unroll(scheduled.schedule_of(op), record)
 
-    def canonicalize(self, schedule: ScheduledOp, record):
-        # The chunk band and the unroll annotation both live in
-        # state_key (the lowering hook reads only those), so the
-        # canonicalizer may fold the record into the state key.
-        return record
-
     def lower_loops(
         self, schedule: ScheduledOp, loops: "list[Loop]"
     ) -> "list[Loop]":

@@ -148,7 +148,6 @@ def oracle_mask(
     in_pointer_sequence: bool = False,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """(transformation head, param masks) under the old predicates."""
-    assert not config.mask_redundant
     ctx = MaskContext(
         schedule, config, has_producer, pointer_placed, in_pointer_sequence
     )

@@ -123,21 +123,25 @@ class TestInterchangeMasks:
         assert not mask.interchange[3:].any()
 
     def test_level_pointer_placed_loops_masked(self):
+        """Only placed loops are masked: with (0,) placed, the pointer
+        that completes the identity permutation stays legal."""
         config = small_config(
             interchange_mode=InterchangeMode.LEVEL_POINTERS
         )
-        mask = compute_mask(
-            _matmul_schedule(),
-            config,
-            False,
-            pointer_placed=(1,),
-            in_pointer_sequence=True,
-        )
-        assert mask.forced_interchange
-        assert not mask.interchange[1]
-        assert mask.interchange[0] and mask.interchange[2]
-        only_interchange = mask.legal_transformations()
-        assert only_interchange == [TransformKind.INTERCHANGE]
+        for placed in ((1,), (0,)):
+            mask = compute_mask(
+                _matmul_schedule(),
+                config,
+                False,
+                pointer_placed=placed,
+                in_pointer_sequence=True,
+            )
+            assert mask.forced_interchange
+            assert mask.interchange[:3].tolist() == [
+                loop not in placed for loop in range(3)
+            ]
+            only_interchange = mask.legal_transformations()
+            assert only_interchange == [TransformKind.INTERCHANGE]
 
     def test_enumerated_mask_bounds(self):
         config = small_config(interchange_mode=InterchangeMode.ENUMERATED)
@@ -149,76 +153,3 @@ class TestInterchangeMasks:
             moved = [p for p, q in enumerate(perm) if p != q]
             expected = all(p < 3 for p in moved)
             assert bool(mask.interchange[index]) == expected
-
-
-class TestRedundantActionMask:
-    """Opt-in ``mask_redundant``: provably redundant actions masked."""
-
-    def _pointer_config(self, **overrides):
-        return small_config(
-            interchange_mode=InterchangeMode.LEVEL_POINTERS, **overrides
-        )
-
-    def test_identity_completion_masked(self):
-        """With the identity prefix placed and two slots left, picking
-        the next-identity pointer completes a no-op interchange — the
-        redundant mask removes exactly that value."""
-        config = self._pointer_config(mask_redundant=True)
-        mask = compute_mask(
-            _matmul_schedule(),
-            config,
-            False,
-            pointer_placed=(0,),
-            in_pointer_sequence=True,
-        )
-        assert not mask.interchange[1]  # identity completion: redundant
-        assert mask.interchange[2]      # a genuine swap stays legal
-
-    def test_default_mask_bit_identical(self):
-        """mask_redundant=False (the default) must not move a single
-        bit relative to the seed behaviour."""
-        base = self._pointer_config()
-        assert not base.mask_redundant
-        mask = compute_mask(
-            _matmul_schedule(),
-            base,
-            False,
-            pointer_placed=(0,),
-            in_pointer_sequence=True,
-        )
-        assert mask.interchange[1] and mask.interchange[2]
-
-    def test_non_identity_prefix_untouched(self):
-        """The guard is pointer-prefix-specific: a swapped prefix has
-        no redundant completion."""
-        config = self._pointer_config(mask_redundant=True)
-        mask = compute_mask(
-            _matmul_schedule(),
-            config,
-            False,
-            pointer_placed=(1,),
-            in_pointer_sequence=True,
-        )
-        assert mask.interchange[0] and mask.interchange[2]
-
-    def test_mask_cache_distinguishes_flag(self):
-        """Configs differing only in mask_redundant must not alias
-        cache entries."""
-        from repro.env.masking import MaskCache, mask_cache_key
-
-        plain = self._pointer_config()
-        redundant = self._pointer_config(mask_redundant=True)
-        schedule = _matmul_schedule()
-        assert mask_cache_key(
-            schedule, False, (0,), True, plain
-        ) != mask_cache_key(schedule, False, (0,), True, redundant)
-        cache = MaskCache()
-        for config in (plain, redundant):
-            cache.lookup(
-                schedule,
-                config,
-                False,
-                pointer_placed=(0,),
-                in_pointer_sequence=True,
-            )
-        assert cache.misses == 2 and cache.hits == 0

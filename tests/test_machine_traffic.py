@@ -195,8 +195,8 @@ class TestAnalyticalVsSimulated:
 
 
 class TestAccessLinesEdges:
-    """Regression coverage for access_lines corner cases the bounds
-    layer (analysis/bounds.py) leans on."""
+    """Regression coverage for access_lines corner cases that
+    nest_traffic leans on."""
 
     def _cube_access(self):
         # B[d0, d1, d2] over 3 loops, f32, 4x8x4 tensor

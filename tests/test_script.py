@@ -136,11 +136,26 @@ class TestCli:
         assert code == 0
         assert script_path.exists()
         assert "op @" in script_path.read_text()
+        capsys.readouterr()
+        # The search's schedule replays cleanly through the verifier.
+        assert main(["analyze", "vgg", "--script", str(script_path)]) == 0
+        assert "no violations" in capsys.readouterr().out
 
     def test_optimize_unknown_target(self):
         from repro.cli import main
 
         assert main(["optimize", "nonexistent"]) == 1
+
+    def test_analyze_generated_program(self, capsys):
+        from repro.cli import main
+
+        assert main(["analyze", "generated", "--seed", "3"]) == 0
+        assert "carried:" in capsys.readouterr().out
+
+    def test_analyze_unknown_target(self):
+        from repro.cli import main
+
+        assert main(["analyze", "nonexistent"]) == 1
 
     def test_train_saves_checkpoint(self, tmp_path, capsys):
         from repro.cli import main
