@@ -1,0 +1,78 @@
+"""Paired, interleaved timing for the benches' same-box ratios.
+
+A ratio of two single samples moves with whatever else the machine is
+doing while one of them runs: a stalled vCPU or a collection of an
+earlier test's garbage lands on one side only.  :func:`paired_timing`
+takes the two variants in adjacent pairs, alternates which one goes
+first, runs every sample for at least :data:`MIN_SAMPLE_SECONDS` and
+reports medians, so one disturbed sample moves the result by one rank
+at most.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+#: Shortest sample: long enough that the timer and a stray interrupt
+#: stay small against it.
+MIN_SAMPLE_SECONDS = 0.05
+
+
+@dataclass(frozen=True)
+class PairedTiming:
+    """Medians over the pairs of one :func:`paired_timing` run."""
+
+    #: median over pairs of (seconds per call of ``a``) / (of ``b``)
+    ratio: float
+    #: interquartile range of those per-pair ratios
+    ratio_iqr: float
+    #: median seconds per call of each variant
+    a_seconds: float
+    b_seconds: float
+
+
+def paired_timing(
+    a: Callable[[], object],
+    b: Callable[[], object],
+    *,
+    pairs: int,
+) -> PairedTiming:
+    """Time ``a`` against ``b`` in ``pairs`` interleaved pairs.
+
+    Pair ``i`` samples ``a`` then ``b`` when ``i`` is even and ``b``
+    then ``a`` when it is odd.  A sample calls its variant until at
+    least :data:`MIN_SAMPLE_SECONDS` have passed and records the mean
+    seconds per call; each pair contributes the ratio of its two
+    samples.
+    """
+
+    def sample(fn: Callable[[], object]) -> float:
+        calls = 0
+        start = time.perf_counter()
+        while True:
+            fn()
+            calls += 1
+            elapsed = time.perf_counter() - start
+            if elapsed >= MIN_SAMPLE_SECONDS:
+                return elapsed / calls
+
+    a_samples, b_samples = [], []
+    for index in range(pairs):
+        if index % 2 == 0:
+            a_samples.append(sample(a))
+            b_samples.append(sample(b))
+        else:
+            b_samples.append(sample(b))
+            a_samples.append(sample(a))
+    ratios = np.asarray(a_samples) / np.asarray(b_samples)
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    return PairedTiming(
+        ratio=float(median),
+        ratio_iqr=float(q3 - q1),
+        a_seconds=float(np.median(a_samples)),
+        b_seconds=float(np.median(b_samples)),
+    )

@@ -9,8 +9,10 @@ op is analysed once, on its first mask, and memoized after that:
   programs under ``small_config()``, analysis included (reported, not
   gated: absolute microseconds do not carry across machines);
 * ``keyed_vs_seed_lookup_ratio`` — warm mask-cache lookups with the
-  config-extended cache key vs the seed's 5-tuple key.  This is the
-  warm path: the acceptance bar is <5% regression.
+  config-extended cache key vs the seed's 5-tuple key, the median over
+  interleaved pairs (``harness.paired_timing``; its IQR is recorded
+  next to it).  This is the warm path: the acceptance bar is <5%
+  regression.
 """
 
 import os
@@ -19,6 +21,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from harness import paired_timing
 from repro.analysis import analyze_op
 from repro.datasets.generator import generate_program
 from repro.env.config import small_config
@@ -28,15 +31,7 @@ from repro.transforms import ScheduledFunction
 
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
 PROGRAMS = 20 if QUICK else 100
-
-
-def _time_per_call(fn, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+PAIRS = 5 if QUICK else 9
 
 
 def test_analysis_overhead(results_dir):
@@ -101,8 +96,7 @@ def test_analysis_overhead(results_dir):
                     seed_hits[0] += 1
                     seed_entries.move_to_end(key)
 
-    keyed_seconds = _time_per_call(warm_keyed)
-    seed_seconds = _time_per_call(warm_seed_key)
+    timing = paired_timing(warm_keyed, warm_seed_key, pairs=PAIRS)
     lookups = rounds * len(schedules)
 
     result = {
@@ -111,9 +105,11 @@ def test_analysis_overhead(results_dir):
         "analysis_us_per_program": analysis_seconds / PROGRAMS * 1e6,
         "analysis_us_per_op": analysis_seconds / num_ops * 1e6,
         "cold_mask_us_per_op": cold_mask_seconds / fresh_ops * 1e6,
-        "warm_lookup_keyed_us": keyed_seconds / lookups * 1e6,
-        "warm_lookup_seed_us": seed_seconds / lookups * 1e6,
-        "keyed_vs_seed_lookup_ratio": keyed_seconds / seed_seconds,
+        "warm_lookup_keyed_us": timing.a_seconds / lookups * 1e6,
+        "warm_lookup_seed_us": timing.b_seconds / lookups * 1e6,
+        "keyed_vs_seed_lookup_ratio": timing.ratio,
+        "keyed_vs_seed_lookup_ratio_iqr": timing.ratio_iqr,
+        "lookup_pairs": PAIRS,
     }
     print(
         f"\nanalysis: {result['analysis_us_per_op']:.1f} us/op cold; "
@@ -130,7 +126,7 @@ def test_analysis_overhead(results_dir):
     # dict probe over the seed's key.  (The <5% masking-throughput bar
     # lives where masking throughput is measured — the registry-dispatch
     # bench times compute_mask; the micro-ratio here bounds the cache
-    # key.)
+    # key.)  Both gates read medians over the interleaved pairs.
     assert result["keyed_vs_seed_lookup_ratio"] < 1.5
     assert (
         result["warm_lookup_keyed_us"] - result["warm_lookup_seed_us"]

@@ -7,7 +7,14 @@ This bench measures:
 * full verification throughput (sample + emit + ``verify_ssa`` + loop
   bounds + interpreter smoke replica) across every curriculum stage;
 * per-draw sampler overhead of the generated-program samplers vs the
-  fixed-dataset sampler (which clones a stored function per draw).
+  fixed-dataset sampler (which clones a stored function per draw), as
+  medians over interleaved pairs (``harness.paired_timing``); the
+  tracked ``generated_vs_fixed_draw_ratio`` is the median per-pair
+  ratio, with its IQR recorded next to it.  The curriculum sampler is
+  timed the same way against the fixed one (its ratio is recorded, not
+  tracked); each of its samples builds a fresh ``CurriculumSampler``
+  per ``DRAWS`` draws, so its per-draw figure includes that
+  construction.
 
 Deterministic counters (programs verified, failures) are independent of
 timing rounds, so quick-mode (``REPRO_BENCH_QUICK=1``) JSONs stay
@@ -20,6 +27,7 @@ import time
 
 import numpy as np
 
+from harness import paired_timing
 from repro.datasets import (
     DEFAULT_CURRICULUM,
     FULL_STAGE,
@@ -33,6 +41,7 @@ from repro.evaluation import write_json
 
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
 ROUNDS = 1 if QUICK else 3
+PAIRS = 5 if QUICK else 9
 PROGRAMS_PER_STAGE = 24
 DRAWS = 200
 
@@ -69,21 +78,27 @@ def test_generator_throughput(benchmark, results_dir):
     # Sampler overhead: seconds per draw, generated vs fixed dataset.
     fixed = training_sampler(scale=0.02, seed=0)
     generated = GeneratedSampler(FULL_STAGE)
-    curriculum = CurriculumSampler(DEFAULT_CURRICULUM, episodes_per_stage=50)
 
-    def draw_seconds(sampler) -> float:
-        best = float("inf")
-        for _ in range(ROUNDS):
+    def draws(sampler):
+        def run() -> None:
             rng = np.random.default_rng(7)
-            start = time.perf_counter()
             for _ in range(DRAWS):
                 sampler(rng)
-            best = min(best, (time.perf_counter() - start) / DRAWS)
-        return best
 
-    fixed_draw = draw_seconds(fixed)
-    generated_draw = draw_seconds(generated)
-    curriculum_draw = draw_seconds(curriculum)
+        return run
+
+    def curriculum_draws() -> None:
+        # A fresh curriculum per call, so every call walks the same
+        # stages however many calls a sample takes.
+        draws(CurriculumSampler(DEFAULT_CURRICULUM, episodes_per_stage=50))()
+
+    versus_fixed = paired_timing(draws(generated), draws(fixed), pairs=PAIRS)
+    curriculum_vs_fixed = paired_timing(
+        curriculum_draws, draws(fixed), pairs=PAIRS
+    )
+    fixed_draw = versus_fixed.b_seconds / DRAWS
+    generated_draw = versus_fixed.a_seconds / DRAWS
+    curriculum_draw = curriculum_vs_fixed.a_seconds / DRAWS
 
     result = {
         "programs_per_stage": PROGRAMS_PER_STAGE,
@@ -95,7 +110,10 @@ def test_generator_throughput(benchmark, results_dir):
         "fixed_sampler_seconds_per_draw": fixed_draw,
         "generated_sampler_seconds_per_draw": generated_draw,
         "curriculum_sampler_seconds_per_draw": curriculum_draw,
-        "generated_vs_fixed_draw_ratio": generated_draw / fixed_draw,
+        "generated_vs_fixed_draw_ratio": versus_fixed.ratio,
+        "generated_vs_fixed_draw_ratio_iqr": versus_fixed.ratio_iqr,
+        "curriculum_vs_fixed_draw_ratio": curriculum_vs_fixed.ratio,
+        "draw_pairs": PAIRS,
     }
     print(
         f"\ngenerator: {programs_per_second:.0f} verified programs/s; "

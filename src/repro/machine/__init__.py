@@ -59,7 +59,6 @@ from .traffic import (
     access_lines,
     block_footprint_bytes,
     compulsory_bytes,
-    dram_traffic_bytes,
     nest_traffic,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "build_corpus",
     "export_dataset",
     "compulsory_bytes",
-    "dram_traffic_bytes",
     "fused_group_time",
     "iterate_points",
     "kernel_time",

@@ -154,6 +154,13 @@ def _band_features(band: tuple) -> tuple[float, ...]:
 _NO_BAND = (0.0,) * BAND_FEATURES
 
 
+def clear_feature_caches() -> None:
+    """Empty the by-value part caches above, so the next scoring run
+    featurizes from cold."""
+    for part in (_extent_features, _order_features, _band_features):
+        part.cache_clear()
+
+
 def _schedule_op_block(state: tuple | None) -> list[float]:
     """Features of one op's schedule state (state_key tuple), or zeros
     for a never-scheduled op (baseline lowering).

@@ -19,13 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..transforms.loop_nest import (
-    Access,
-    LoweredNest,
-    coverage_per_dim,
-    footprint_elems,
-)
-from .spec import CacheLevel, MachineSpec
+from ..transforms.loop_nest import Access, LoweredNest, coverage_per_dim
+from .spec import MachineSpec
 
 #: Fraction of a cache's capacity the model lets a working set use
 #: (conflict misses, other residents).
@@ -44,11 +39,10 @@ def access_lines(
     but monotone approximation).
     """
     spans: list[int] = []
-    for row, extent in zip(access.matrix, access.tensor_shape):
+    for extent, terms in access.span_terms:
         span = 1
-        for dim, coeff in enumerate(row[:-1]):
-            if coeff != 0:
-                span += abs(coeff) * (cover[dim] - 1)
+        for dim, coeff in terms:
+            span += coeff * (cover[dim] - 1)
         spans.append(min(span, extent))
     if not spans:
         return 1
@@ -68,28 +62,33 @@ def access_lines(
     return outer * run_lines
 
 
+def _num_dims(nest: LoweredNest) -> int:
+    return 1 + max((loop.dim for loop in nest.loops), default=0)
+
+
+def _block_lines(
+    nest: LoweredNest, depth: int, num_dims: int, line_bytes: int
+) -> list[int]:
+    """Lines each access touches over one execution of the block at
+    ``depth``, in ``nest.accesses`` order."""
+    cover = coverage_per_dim(nest.loops, depth, num_dims)
+    return [
+        access_lines(access, cover, line_bytes) for access in nest.accesses
+    ]
+
+
 def block_footprint_bytes(
     nest: LoweredNest, depth: int, line_bytes: int
 ) -> int:
-    """Total line-granular footprint of the block at ``depth``."""
-    num_dims = 1 + max(
-        (loop.dim for loop in nest.loops), default=0
-    )
-    cover = coverage_per_dim(nest.loops, depth, num_dims)
-    return sum(
-        access_lines(access, cover, line_bytes) * line_bytes
-        for access in nest.accesses
-    )
+    """Total line-granular footprint of the block at ``depth``.
 
-
-def _reuse_depth(
-    nest: LoweredNest, capacity: float, line_bytes: int
-) -> int:
-    """Outermost depth whose block footprint fits in ``capacity``."""
-    for depth in range(len(nest.loops) + 1):
-        if block_footprint_bytes(nest, depth, line_bytes) <= capacity:
-            return depth
-    return len(nest.loops)
+    The figure :func:`nest_traffic` compares with each level's capacity,
+    computed the same way for one depth: it explains a reported reuse
+    depth (the block there fits, the one just outside it does not)
+    without rebuilding the whole table.
+    """
+    lines = _block_lines(nest, depth, _num_dims(nest), line_bytes)
+    return sum(lines) * line_bytes
 
 
 @dataclass
@@ -112,42 +111,51 @@ def nest_traffic(
 
     ``skip_tensor_ids`` removes accesses whose data is guaranteed
     cache-resident (fused intermediates) from the DRAM/L3 traffic.
+
+    Each level's reuse depth is the outermost depth whose block
+    footprint fits in the level.  The per-access line counts of a depth
+    do not depend on the level, so one lazily filled table of them
+    serves every level: the depth scan and the chosen depth's traffic
+    sum both read it.
     """
-    num_dims = 1 + max((loop.dim for loop in nest.loops), default=0)
+    num_dims = _num_dims(nest)
+    line_bytes = spec.line_bytes
+    innermost = len(nest.loops)
+    #: table[depth] = (footprint bytes, lines per access) of its block
+    table: list[tuple[int, list[int]]] = []
+
+    def block(depth: int) -> tuple[int, list[int]]:
+        while len(table) <= depth:
+            lines = _block_lines(nest, len(table), num_dims, line_bytes)
+            table.append((sum(lines) * line_bytes, lines))
+        return table[depth]
+
+    last_level = spec.caches[-1].name
     bytes_per_level: dict[str, float] = {}
     reuse_depths: dict[str, int] = {}
     for level in spec.caches:
         capacity = level.capacity * _CACHE_UTILIZATION
-        depth = _reuse_depth(nest, capacity, spec.line_bytes)
+        depth = 0
+        while depth < innermost and block(depth)[0] > capacity:
+            depth += 1
         reuse_depths[level.name] = depth
-        cover = coverage_per_dim(nest.loops, depth, num_dims)
+        outer_loops = nest.loops[:depth]
         total = 0.0
-        for access in nest.accesses:
+        for access, lines in zip(nest.accesses, block(depth)[1]):
             if (
                 access.tensor_id in skip_tensor_ids
-                and level.name == spec.caches[-1].name
+                and level.name == last_level
             ):
                 continue
-            lines = access_lines(access, cover, spec.line_bytes)
             executions = 1
-            used = access.dims_used()
-            for loop in nest.loops[:depth]:
+            used = access.used_dims
+            for loop in outer_loops:
                 if loop.dim in used:
                     executions *= loop.trip
             weight = 2.0 if access.is_write else 1.0
-            total += executions * lines * spec.line_bytes * weight
+            total += executions * lines * line_bytes * weight
         bytes_per_level[level.name] = total
     return TrafficReport(bytes_per_level, reuse_depths)
-
-
-def dram_traffic_bytes(
-    nest: LoweredNest,
-    spec: MachineSpec,
-    skip_tensor_ids: frozenset[int] = frozenset(),
-) -> float:
-    """Traffic between DRAM and the last-level cache."""
-    report = nest_traffic(nest, spec, skip_tensor_ids)
-    return report.into(spec.caches[-1].name)
 
 
 def compulsory_bytes(nest: LoweredNest) -> int:

@@ -25,7 +25,6 @@ from .loop_nest import (
     Loop,
     LoweredNest,
     coverage_per_dim,
-    footprint_elems,
 )
 from .lowering import (
     access_patterns,
@@ -129,7 +128,6 @@ __all__ = [
     "can_vectorize",
     "coverage_per_dim",
     "enumerated_candidates",
-    "footprint_elems",
     "fuse_producers",
     "identity_permutation",
     "intermediate_value_dims",

@@ -10,7 +10,7 @@ iteration point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import mul
 from typing import Sequence
 
@@ -53,13 +53,30 @@ class Access:
     def tensor_bytes(self) -> int:
         return reduce(mul, self.tensor_shape, 1) * self.element_bytes
 
-    def dims_used(self) -> set[int]:
-        used: set[int] = set()
-        for row in self.matrix:
-            for position, coeff in enumerate(row[:-1]):
-                if coeff != 0:
-                    used.add(position)
-        return used
+    @cached_property
+    def span_terms(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """Per tensor dim: its extent and the ``(loop dim, |coeff|)``
+        pairs of its nonzero coefficients (computed once per access)."""
+        # List comprehensions, not generators: this runs for every
+        # access of every nest the timing model prices.
+        return tuple([
+            (
+                extent,
+                tuple([
+                    (dim, abs(coeff))
+                    for dim, coeff in enumerate(row[:-1])
+                    if coeff != 0
+                ]),
+            )
+            for row, extent in zip(self.matrix, self.tensor_shape)
+        ])
+
+    @cached_property
+    def used_dims(self) -> frozenset[int]:
+        """Loop dims with a nonzero coefficient in some row."""
+        return frozenset(
+            {dim for _, terms in self.span_terms for dim, _ in terms}
+        )
 
     def innermost_stride_elems(self, dim: int) -> int:
         """Element stride when loop dimension ``dim`` advances by one."""
@@ -182,16 +199,3 @@ def coverage_per_dim(
     for loop in loops[start:]:
         cover[loop.dim] *= loop.trip
     return cover
-
-
-def footprint_elems(access: Access, cover: Sequence[int]) -> int:
-    """Rectangle footprint (in elements) of ``access`` for a block that
-    covers ``cover[d]`` consecutive points of each dim ``d``."""
-    total = 1
-    for row, extent in zip(access.matrix, access.tensor_shape):
-        span = 1
-        for dim, coeff in enumerate(row[:-1]):
-            if coeff != 0:
-                span += abs(coeff) * (cover[dim] - 1)
-        total *= min(span, extent)
-    return total

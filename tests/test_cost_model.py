@@ -305,6 +305,25 @@ class TestExporter:
 
         assert _schedule_op_block(state) == _reference_op_block(state)
 
+    def test_clear_feature_caches_empties_parts(self):
+        """Cold-cache scoring runs start from empty part caches and
+        featurize exactly as a warm run does."""
+        from repro.machine.dataset import (
+            _band_features,
+            _extent_features,
+            _order_features,
+            _schedule_op_block,
+            clear_feature_caches,
+        )
+
+        band = (True, ((0, 64, 8, True),))
+        state = ((64, 32), (1, 0), (band,), True, False, (), ())
+        warm = _schedule_op_block(state)
+        clear_feature_caches()
+        parts = (_extent_features, _order_features, _band_features)
+        assert [part.cache_info().currsize for part in parts] == [0, 0, 0]
+        assert _schedule_op_block(state) == warm
+
 
 # ---------------------------------------------------------------------------
 # Model training + persistence

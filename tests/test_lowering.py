@@ -142,9 +142,12 @@ class TestAccessHelpers:
     def test_dims_used(self):
         nest = lower_baseline(_matmul_op())
         a, b, c = nest.accesses
-        assert a.dims_used() == {0, 2}
-        assert b.dims_used() == {1, 2}
-        assert c.dims_used() == {0, 1}
+        assert a.used_dims == {0, 2}
+        assert b.used_dims == {1, 2}
+        assert c.used_dims == {0, 1}
+        # the span terms pair each tensor dim's extent with its nonzero
+        # (loop dim, |coeff|) columns: A[m, k] with m = 64, k = 16
+        assert a.span_terms == ((64, ((0, 1),)), (16, ((2, 1),)))
 
 
 @settings(max_examples=25, deadline=None)

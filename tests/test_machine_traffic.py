@@ -1,8 +1,17 @@
 """Tests for the analytical traffic model, validated against the
-trace-driven cache simulator."""
+trace-driven cache simulator and against a restatement of the
+per-level rescan it replaced."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.datasets import generate_program
+from repro.env.actions import flat_action_table
+from repro.env.config import small_config
+from repro.env.masking import compute_mask
 from repro.ir import matmul, tensor
 from repro.machine import (
     CacheHierarchy,
@@ -11,20 +20,26 @@ from repro.machine import (
     access_lines,
     block_footprint_bytes,
     compulsory_bytes,
+    machine_names,
     nest_traffic,
     simulate_nest,
+    spec,
 )
 from repro.machine.spec import CacheLevel
+from repro.machine.traffic import _CACHE_UTILIZATION
 from repro.transforms import (
     Interchange,
+    ScheduledFunction,
     ScheduledOp,
     Tiling,
+    TransformKind,
     apply_interchange,
     apply_tiling,
     lower_baseline,
     lower_scheduled_op,
+    view_for,
 )
-from repro.transforms.loop_nest import Access
+from repro.transforms.loop_nest import Access, Loop, LoweredNest
 
 
 def _matmul_nest(m, n, k):
@@ -260,3 +275,254 @@ class TestAccessLinesEdges:
         counts = [access_lines(access, cover, 64) for cover in covers]
         assert counts == sorted(counts)
         assert counts[0] == 1 and counts[-1] == 256
+
+
+# -- exact oracle: the per-level rescan the footprint table replaced ----------
+
+
+def _rescan_lines(access, cover, line_bytes):
+    """``access_lines`` as it walked the access matrix on every call."""
+    spans = []
+    for row, extent in zip(access.matrix, access.tensor_shape):
+        span = 1
+        for dim, coeff in enumerate(row[:-1]):
+            if coeff != 0:
+                span += abs(coeff) * (cover[dim] - 1)
+        spans.append(min(span, extent))
+    if not spans:
+        return 1
+    contiguous = spans[-1]
+    index = len(spans) - 2
+    if spans[-1] == access.tensor_shape[-1]:
+        while index >= 0 and spans[index] == access.tensor_shape[index]:
+            contiguous *= spans[index]
+            index -= 1
+    outer = 1
+    for position in range(index + 1):
+        outer *= spans[position]
+    return outer * math.ceil(contiguous * access.element_bytes / line_bytes)
+
+
+def _cover(nest, depth):
+    points = [1] * (1 + max((loop.dim for loop in nest.loops), default=0))
+    for loop in nest.loops[depth:]:
+        points[loop.dim] *= loop.trip
+    return points
+
+
+def _footprint(nest, depth, line_bytes):
+    return sum(
+        _rescan_lines(access, _cover(nest, depth), line_bytes) * line_bytes
+        for access in nest.accesses
+    )
+
+
+def _rescan_traffic(nest, machine, skip_tensor_ids=frozenset()):
+    """Every cache level rescans block footprints from depth 0, then
+    recounts the chosen block's lines and each access's used dims."""
+    line_bytes = machine.line_bytes
+    bytes_per_level, reuse_depths = {}, {}
+    for level in machine.caches:
+        capacity = level.capacity * _CACHE_UTILIZATION
+        depth = len(nest.loops)
+        for candidate in range(len(nest.loops) + 1):
+            if _footprint(nest, candidate, line_bytes) <= capacity:
+                depth = candidate
+                break
+        reuse_depths[level.name] = depth
+        total = 0.0
+        for access in nest.accesses:
+            if (
+                access.tensor_id in skip_tensor_ids
+                and level.name == machine.caches[-1].name
+            ):
+                continue
+            lines = _rescan_lines(access, _cover(nest, depth), line_bytes)
+            used = {
+                position
+                for row in access.matrix
+                for position, coeff in enumerate(row[:-1])
+                if coeff != 0
+            }
+            executions = 1
+            for loop in nest.loops[:depth]:
+                if loop.dim in used:
+                    executions *= loop.trip
+            weight = 2.0 if access.is_write else 1.0
+            total += executions * lines * line_bytes * weight
+        bytes_per_level[level.name] = total
+    return bytes_per_level, reuse_depths
+
+
+MACHINES = [spec(name) for name in machine_names()]
+
+
+def _assert_matches_rescan(nest, skip_tensor_ids=frozenset()):
+    for machine in MACHINES:
+        report = nest_traffic(nest, machine, skip_tensor_ids)
+        expected_bytes, expected_depths = _rescan_traffic(
+            nest, machine, skip_tensor_ids
+        )
+        # == on floats: bit-identical, not approximately equal
+        assert report.bytes_per_level == expected_bytes, machine
+        assert report.reuse_depths == expected_depths, machine
+        for depth in range(len(nest.loops) + 1):
+            assert block_footprint_bytes(
+                nest, depth, machine.line_bytes
+            ) == _footprint(nest, depth, machine.line_bytes)
+
+
+def _timed_nests(nest, skip_tensor_ids):
+    """(nest, skip ids) pairs in the order ``nest_time`` prices them."""
+    yield nest, skip_tensor_ids
+    for fused in nest.fused:
+        yield from _timed_nests(fused.nest, fused.intermediate_ids)
+
+
+def _random_legal_schedule(func, rng, steps_per_op=4):
+    """Random mask-legal actions per op, consumers first, taking tiled
+    fusion whenever the mask offers it and a coin lands heads."""
+    config = small_config()
+    table = flat_action_table(config)
+    view = view_for(config)
+    scheduled = ScheduledFunction(func)
+    for op in func.walk_consumers_first():
+        for _ in range(steps_per_op):
+            schedule = scheduled.schedule_of(op)
+            if schedule.is_terminal():
+                break
+            has_producer = scheduled.fusable_producer_of(op) is not None
+            mask = compute_mask(schedule, config, has_producer)
+            n = schedule.num_loops
+            pool = [
+                flat
+                for flat in table
+                if mask.transformation[int(flat.kind)]
+                and not view.spec_at(int(flat.kind)).is_stop
+                and flat._spec().flat_legal(flat, mask, n, config)
+            ]
+            if not pool:
+                break
+            fusions = [
+                flat
+                for flat in pool
+                if flat.kind == TransformKind.TILED_FUSION
+            ]
+            if fusions and rng.random() < 0.5:
+                pool = fusions
+            flat = pool[int(rng.integers(len(pool)))]
+            scheduled.apply(op, flat.to_record(n))
+    return scheduled
+
+
+class TestFootprintTableMatchesRescan:
+    """``nest_traffic`` fills one per-depth footprint table per call and
+    shares it across cache levels; its floats and reuse depths must
+    equal the per-level rescan's exactly, on every registry machine
+    (the two-level ``edge-cortex-a72`` included)."""
+
+    def test_registry_covers_two_level_machine(self):
+        assert sorted({len(machine.caches) for machine in MACHINES}) == [2, 3]
+
+    def test_generated_programs_under_random_legal_schedules(self):
+        rng = np.random.default_rng(0)
+        nests = fused = 0
+        for _ in range(40):
+            func = generate_program(rng)
+            for top in ScheduledFunction(func).lower():
+                for nest, skip in _timed_nests(top, frozenset()):
+                    _assert_matches_rescan(nest, skip)
+            for top in _random_legal_schedule(func, rng).lower():
+                for nest, skip in _timed_nests(top, top.fused_skip_ids()):
+                    _assert_matches_rescan(nest, skip)
+                    nests += 1
+                    fused += bool(skip)
+        # tiled fusion ran: fused producers were priced with skip ids
+        assert nests > 100 and fused > 5, (nests, fused)
+
+    def test_tiled_fusion_skips_intermediate_at_last_level(self):
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            func = generate_program(rng)
+            for top in _random_legal_schedule(func, rng).lower():
+                skip = top.fused_skip_ids()
+                if not skip:
+                    continue
+                _assert_matches_rescan(top, skip)
+                for machine in MACHINES:
+                    last = machine.caches[-1].name
+                    kept = nest_traffic(top, machine).into(last)
+                    skipped = nest_traffic(top, machine, skip).into(last)
+                    assert skipped <= kept
+                return
+        pytest.fail("no tiled fusion in 40 generated programs")
+
+    def test_negative_and_constant_only_rows(self):
+        # out[i - j + 8] += w[j] * x[2i + j, 3]: a negative coefficient,
+        # a stride-2 row and a constant-only row, over a tiled i loop
+        loops = [
+            Loop(dim=0, trip=4, span=16),
+            Loop(dim=1, trip=9),
+            Loop(dim=0, trip=16),
+        ]
+        accesses = [
+            Access((80,), 4, ((1, -1, 8),), True, tensor_id=0),
+            Access((9,), 4, ((0, 1, 0),), False, tensor_id=1),
+            Access((140, 4), 8, ((2, 1, 0), (0, 0, 3)), False, tensor_id=2),
+            Access((), 4, (), False, tensor_id=3),
+        ]
+        nest = LoweredNest(loops=loops, accesses=accesses, flops_per_point=2)
+        _assert_matches_rescan(nest)
+        _assert_matches_rescan(nest, frozenset({2}))
+        assert accesses[0].span_terms == ((80, ((0, 1), (1, 1))),)
+        assert accesses[2].span_terms[1] == (4, ())
+        assert accesses[2].used_dims == {0, 1}
+
+
+_COEFF = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def _hand_built_nests(draw):
+    num_dims = draw(st.integers(min_value=1, max_value=3))
+    # every dim gets a point loop; tile loops repeat some dims
+    tile_dims = draw(
+        st.lists(st.integers(min_value=0, max_value=num_dims - 1), max_size=3)
+    )
+    dims = draw(st.permutations(tile_dims + list(range(num_dims))))
+    loops = [
+        Loop(dim=d, trip=draw(st.integers(min_value=1, max_value=40)))
+        for d in dims
+    ]
+    accesses = []
+    for tensor_id in range(draw(st.integers(min_value=1, max_value=4))):
+        rank = draw(st.integers(min_value=0, max_value=3))
+        # constant-only rows (all coefficients zero) come up often
+        matrix = tuple(
+            tuple(draw(st.lists(_COEFF, min_size=num_dims, max_size=num_dims)))
+            + (draw(st.integers(min_value=0, max_value=4)),)
+            for _ in range(rank)
+        )
+        shape = tuple(
+            draw(st.integers(min_value=1, max_value=300)) for _ in range(rank)
+        )
+        accesses.append(
+            Access(
+                tensor_shape=shape,
+                element_bytes=draw(st.sampled_from((1, 2, 4, 8))),
+                matrix=matrix,
+                is_write=draw(st.booleans()),
+                tensor_id=tensor_id,
+            )
+        )
+    skip = frozenset(
+        draw(st.sets(st.integers(min_value=0, max_value=len(accesses) - 1)))
+    )
+    return LoweredNest(loops=loops, accesses=accesses, flops_per_point=1), skip
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hand_built_nests())
+def test_hand_built_nests_match_rescan(nest_and_skip):
+    nest, skip = nest_and_skip
+    _assert_matches_rescan(nest, skip)
