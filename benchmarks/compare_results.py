@@ -58,8 +58,9 @@ TRACKED_METRICS: list[tuple[str, tuple[str, ...], str]] = [
     ("cost_model.json", ("cost_vs_real_throughput_ratio",), "higher"),
     ("cost_model.json", ("search_quality_ratio",), "higher"),
     # Fault tolerance: what one injected worker kill + replay-recovery
-    # costs a supervised rollout sweep relative to the unsupervised
-    # pool (a same-box wall-clock ratio, machine-portable).
+    # costs a rollout-pool sweep relative to a fault-free sweep (median
+    # of interleaved pairs; a same-box wall-clock ratio,
+    # machine-portable).
     ("fault_tolerance.json", ("recovery_overhead_ratio",), "lower"),
 ]
 

@@ -1,29 +1,33 @@
-"""Fault-tolerance overhead benchmark: what supervision + recovery cost.
+"""Fault-tolerance overhead benchmark: what recovering a worker costs.
 
-The fault layer (PR 8) must be cheap enough to leave on: the supervised
-pool's fault-free path only adds per-slot action logging and a ``poll``
-before each ``recv``, and recovering a killed worker replays the logged
-episode prefix instead of restarting collection.  This benchmark times
-three scripted-rollout sweeps over the same functions and seeds —
-unsupervised pool, supervised fault-free pool, and supervised pool with
-one injected worker kill — and tracks ``recovery_overhead_ratio``
-(supervised-with-kill wall-clock over unsupervised wall-clock).  The
-acceptance criterion is <= 1.2x: recovery replays one episode prefix,
-so a modest constant tax, not a restart.
+The rollout pool logs each slot's episode, and when a worker dies it
+respawns the worker and replays the logged episode prefix instead of
+restarting collection.  This benchmark times scripted-rollout sweeps
+over the same functions and seeds through two pools: a fault-free one,
+and one that loses a worker to an injected kill in every sweep.  The
+sweeps run in interleaved pairs (``harness.paired_timing``), and
+``recovery_overhead_ratio`` is the median over pairs of the killed
+sweep's wall-clock over the fault-free one's, recorded with its IQR.
+The acceptance criterion is <= 1.2x: recovery replays one episode
+prefix, so a modest constant tax, not a restart.
 """
-
-import time
 
 import numpy as np
 
+from harness import paired_timing
 from repro.env import EnvAction, small_config
 from repro.env.vector import AsyncVecMlirRlEnv
 from repro.evaluation import write_json
-from repro.fault import FaultEvent, FaultPlan, SupervisedAsyncVecEnv
+from repro.fault import FaultEvent, FaultPlan
 from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.transforms import TransformKind
 
 CONFIG = small_config(max_episode_steps=48)
+#: Scripted rollout rounds per sweep: enough to amortize the one-off
+#: respawn cost (a process fork plus one episode-prefix replay) the way
+#: a real training run amortizes it.
+ROUNDS = 30
+PAIRS = 25
 
 
 def _suite():
@@ -61,9 +65,8 @@ def _scripted_action(observation, rng, config):
 
 
 def _sweep(vec_env, funcs, rounds, seed):
-    """Scripted rollout rounds; returns (record, elapsed_seconds)."""
+    """Scripted rollout rounds; returns the per-step reward record."""
     record = []
-    started = time.perf_counter()
     for round_index in range(rounds):
         rngs = [
             np.random.default_rng(seed + round_index * 100 + i)
@@ -88,94 +91,62 @@ def _sweep(vec_env, funcs, rounds, seed):
         # the same so a respawned worker re-warms from its peers at the
         # next round boundary instead of re-executing for a whole sweep.
         vec_env.sync_timing_caches()
-    return record, time.perf_counter() - started
+    return record
 
 
 def test_recovery_overhead_within_budget(benchmark, results_dir):
     funcs = _suite()
-    # Enough rounds to amortize the one-off respawn cost (a process
-    # fork plus one episode-prefix replay) the way a real training run
-    # amortizes it.  The three variants are interleaved within each
-    # repeat and the ratio is taken per repeat, so slow drift in box
-    # load cancels instead of biasing whichever variant ran last; the
-    # plan is re-armed before every chaotic sweep so each timed sweep
-    # pays exactly one kill.
-    rounds, repeats = 30, 5
+    plan = FaultPlan([FaultEvent("worker", 2, "kill")])
+    records: dict[str, list] = {"clean": [], "chaos": []}
 
     def run():
-        plan = FaultPlan([FaultEvent("worker", 2, "kill")])
-        with AsyncVecMlirRlEnv(2, config=CONFIG) as plain, \
-                SupervisedAsyncVecEnv(
-                    2, config=CONFIG, recv_timeout=30.0
-                ) as supervised, \
-                SupervisedAsyncVecEnv(
-                    2, config=CONFIG, recv_timeout=30.0, plan=plan
-                ) as chaotic:
+        with AsyncVecMlirRlEnv(2, config=CONFIG) as clean, \
+                AsyncVecMlirRlEnv(2, config=CONFIG, plan=plan) as chaotic:
             # Untimed warm-up: pool spin-up and first-touch costs land
-            # outside the measured sweeps for every variant alike.
-            _sweep(plain, funcs, 1, seed=99)
-            _sweep(supervised, funcs, 1, seed=99)
+            # outside the measured sweeps for both pools alike.
+            _sweep(clean, funcs, 1, seed=99)
             _sweep(chaotic, funcs, 1, seed=99)
-            samples = []
-            for _ in range(repeats):
-                plain_record, plain_seconds = _sweep(
-                    plain, funcs, rounds, seed=7
-                )
-                clean_record, clean_seconds = _sweep(
-                    supervised, funcs, rounds, seed=7
-                )
-                plan.reset()
-                chaos_record, chaos_seconds = _sweep(
-                    chaotic, funcs, rounds, seed=7
-                )
-                samples.append(
-                    (plain_seconds, clean_seconds, chaos_seconds)
-                )
-            respawns = chaotic.telemetry()["respawns"]
-        # Noise on a shared box only ever inflates a sweep; keeping the
-        # repeat whose *paired* chaos/plain ratio is lowest drops the
-        # repeats where a load spike hit one variant but not the other,
-        # which single-variant minima taken across different repeats
-        # cannot do.
-        best = min(samples, key=lambda sample: sample[2] / sample[0])
-        return (plain_record, clean_record, chaos_record, *best, respawns)
 
-    (
-        plain_record,
-        clean_record,
-        chaos_record,
-        plain_seconds,
-        clean_seconds,
-        chaos_seconds,
-        respawns,
-    ) = benchmark.pedantic(run, rounds=1, iterations=1)
+            def fault_free():
+                records["clean"].append(
+                    _sweep(clean, funcs, ROUNDS, seed=7)
+                )
+
+            def with_kill():
+                plan.reset()  # every timed sweep pays exactly one kill
+                records["chaos"].append(
+                    _sweep(chaotic, funcs, ROUNDS, seed=7)
+                )
+
+            timing = paired_timing(with_kill, fault_free, pairs=PAIRS)
+            return timing, chaotic.telemetry()["respawns"]
+
+    timing, respawns = benchmark.pedantic(run, rounds=1, iterations=1)
 
     # Recovery must be reward-transparent before its cost is worth
     # measuring at all.
-    assert clean_record == plain_record
-    assert chaos_record == plain_record
-    assert respawns >= repeats
+    reference = records["clean"][0]
+    assert all(record == reference for record in records["clean"])
+    assert all(record == reference for record in records["chaos"])
+    assert respawns >= PAIRS
 
-    supervision_ratio = clean_seconds / plain_seconds
-    recovery_ratio = chaos_seconds / plain_seconds
     result = {
-        "rounds": rounds,
-        "repeats": repeats,
-        "steps": len(plain_record),
-        "unsupervised_seconds": plain_seconds,
-        "supervised_seconds": clean_seconds,
-        "supervised_with_kill_seconds": chaos_seconds,
+        "rounds": ROUNDS,
+        "pairs": PAIRS,
+        "steps": len(reference),
+        "fault_free_seconds": timing.b_seconds,
+        "with_kill_seconds": timing.a_seconds,
         "respawns": respawns,
-        # Fault-free supervision tax (logging + poll-before-recv).
-        "supervision_overhead_ratio": supervision_ratio,
-        # The tracked metric: one worker kill + replay vs no faults.
-        "recovery_overhead_ratio": recovery_ratio,
+        # The tracked metric: one worker kill + replay vs no faults,
+        # median over the pairs, with the IQR of the per-pair ratios.
+        "recovery_overhead_ratio": timing.ratio,
+        "recovery_overhead_iqr": timing.ratio_iqr,
     }
     print(
-        f"\nfault tolerance: unsupervised {plain_seconds:.2f}s, "
-        f"supervised {clean_seconds:.2f}s ({supervision_ratio:.2f}x), "
-        f"with kill {chaos_seconds:.2f}s ({recovery_ratio:.2f}x, "
-        f"{respawns} respawn)"
+        f"\nfault tolerance: fault-free {timing.b_seconds:.2f}s, "
+        f"with kill {timing.a_seconds:.2f}s (median ratio "
+        f"{timing.ratio:.3f}x, IQR {timing.ratio_iqr:.3f}, "
+        f"{respawns} respawns)"
     )
     write_json(result, results_dir / "fault_tolerance.json")
-    assert recovery_ratio <= 1.2
+    assert timing.ratio <= 1.2

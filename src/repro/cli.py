@@ -234,6 +234,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     from .datasets import training_sampler
     from .env import MlirRlEnv, small_config
+    from .machine import CachingExecutor
     from .rl import (
         PPOConfig,
         get_backend,
@@ -265,11 +266,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             return 1
         install_plan(chaos_plan)
     config = small_config(
-        machine=first_machine,
-        machine_features=machine_features,
-        # Chaos runs need the guards the injected faults exercise; the
-        # guarded fault-free path is bit-identical to the unguarded one.
-        fault_tolerance=bool(chaos_plan) or args.supervise,
+        machine=first_machine, machine_features=machine_features
     )
     if args.transforms:
         from .transforms.registry import actionable_transforms
@@ -296,7 +293,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     backend = get_backend(args.action_space, config)
     agent = backend.build_agent(rng, hidden_size=args.hidden)
-    env = MlirRlEnv(config=config)
+    executor = CachingExecutor(config.machine_spec())
+    if chaos_plan is not None:
+        # Chaos runs need the guards the injected faults exercise; the
+        # guarded fault-free path is bit-identical to the unguarded one,
+        # and the rollout pool guards its workers alike.
+        from .fault import GuardedExecutor
+
+        executor = GuardedExecutor(executor)
+    env = MlirRlEnv(config=config, executor=executor)
     sampler = training_sampler(
         scale=args.scale,
         seed=args.seed,
@@ -312,7 +317,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             minibatch_size=16,
             num_envs=args.num_envs,
             num_workers=args.workers,
-            supervise_workers=bool(chaos_plan) or args.supervise,
         ),
         seed=args.seed,
         machines=machines if len(machines) > 1 else None,
@@ -691,16 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
         "explicit events like "
         "'exec.timeout@2,worker.kill@1,write.partial_write@1', "
         "randomized counts like 'kills=1,timeouts=2,seed=7', or a JSON "
-        "plan file; implies fault tolerance + worker supervision, and "
-        "prints a fired/pending report after the run",
-    )
-    train.add_argument(
-        "--supervise",
-        action="store_true",
-        help="enable execution guards and rollout-worker supervision "
-        "without injecting faults: hung/dead workers are respawned and "
-        "their episodes replayed (reward-identical), degrading to "
-        "in-process collection after repeated respawn failures",
+        "plan file; guards every execution (timeouts, retries, "
+        "quarantine) and prints a fired/pending report after the run",
     )
     train.add_argument("--hidden", type=int, default=64)
     train.add_argument("--scale", type=float, default=0.01)

@@ -84,28 +84,6 @@ class EnvConfig:
     #: it is scheduling for.  Off by default: the observation layout —
     #: and therefore checkpoints — stays bit-identical to the paper's.
     machine_features: bool = False
-    #: Wrap the environment's executor in a
-    #: :class:`~repro.fault.guard.GuardedExecutor` (wall-clock timeouts,
-    #: bounded retries, quarantine).  A reward evaluation that fails
-    #: past all retries ends the episode with the sentinel
-    #: :attr:`fault_penalty` reward and ``info["execution_fault"]``
-    #: instead of raising.  Off by default — the default path wraps
-    #: nothing and stays bit-identical.
-    fault_tolerance: bool = False
-    #: Wall-clock budget per executor evaluation in seconds (0 disables
-    #: the timeout thread; injected timeouts still fire).
-    exec_timeout_seconds: float = 0.0
-    #: Additional attempts after a failed evaluation.
-    exec_retries: int = 2
-    #: Base backoff before retry ``n`` (``backoff * 2**(n-1)``, +50%
-    #: seeded jitter); 0 retries immediately.
-    exec_backoff_seconds: float = 0.0
-    #: Consecutive failed evaluations before a program/schedule
-    #: fingerprint is quarantined and skipped instantly (0 disables).
-    quarantine_threshold: int = 3
-    #: Sentinel episode reward when an evaluation faults (log-speedup
-    #: rewards make a negative value a below-baseline penalty).
-    fault_penalty: float = -1.0
 
     @property
     def num_tile_sizes(self) -> int:
@@ -132,14 +110,6 @@ class EnvConfig:
             raise ValueError("unroll factors must be >= 2")
         if not self.machine:
             raise ValueError("machine name must be non-empty")
-        if self.exec_timeout_seconds < 0:
-            raise ValueError("exec_timeout_seconds must be >= 0 (0 disables)")
-        if self.exec_retries < 0:
-            raise ValueError("exec_retries must be >= 0")
-        if self.exec_backoff_seconds < 0:
-            raise ValueError("exec_backoff_seconds must be >= 0")
-        if self.quarantine_threshold < 0:
-            raise ValueError("quarantine_threshold must be >= 0 (0 disables)")
 
     def machine_spec(self):
         """The resolved :class:`~repro.machine.spec.MachineSpec` of

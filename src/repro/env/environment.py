@@ -60,6 +60,11 @@ from .masking import ActionMask, MaskCache, compute_mask
 from .reward import RewardModel, RewardState
 
 
+#: Episode reward when an evaluation faults past the guard's retries
+#: (log-speedup rewards make a negative value a below-baseline penalty).
+FAULT_PENALTY = -1.0
+
+
 @dataclass
 class Observation:
     """What the agent sees each step."""
@@ -99,31 +104,7 @@ class MlirRlEnv:
         #: otherwise); an explicit executor wins and defines the true
         #: target — observations condition on ``executor.spec``.
         self.executor = executor or CachingExecutor(config.machine_spec())
-        #: opt-in fault tolerance (``EnvConfig.fault_tolerance``): the
-        #: executor is wrapped in a GuardedExecutor (timeouts, retries,
-        #: quarantine) and execution faults end the episode with the
-        #: sentinel ``fault_penalty`` reward instead of raising.
-        #: Imported lazily — the default path never touches
-        #: :mod:`repro.fault` and stays bit-identical.
-        self._fault_types: tuple = ()
-        if config.fault_tolerance:
-            from ..fault.guard import (
-                ExecutionFault,
-                GuardedExecutor,
-                GuardPolicy,
-            )
-
-            if not isinstance(self.executor, GuardedExecutor):
-                self.executor = GuardedExecutor(
-                    self.executor,
-                    GuardPolicy(
-                        timeout_seconds=config.exec_timeout_seconds,
-                        retries=config.exec_retries,
-                        backoff_seconds=config.exec_backoff_seconds,
-                        quarantine_threshold=config.quarantine_threshold,
-                    ),
-                )
-            self._fault_types = (ExecutionFault,)
+        self._guard_faults()
         #: incremental _observe(): per-op static feature memos plus a
         #: mask LRU keyed by (op, schedule state, pointer state); False
         #: recomputes everything each step (the pre-fast-path behavior,
@@ -148,23 +129,39 @@ class MlirRlEnv:
         #: real executor parked while a cost model is substituted
         self._real_executor: Executor | None = None
 
+    def _guard_faults(self) -> None:
+        """Fault tolerance follows the executor: on a
+        :class:`~repro.fault.guard.GuardedExecutor` (timeouts, retries,
+        quarantine; the one executor with a ``policy``) an execution
+        fault ends the episode with :data:`FAULT_PENALTY` instead of
+        raising.  Any other executor lets it raise, and the unguarded
+        path never imports :mod:`repro.fault`."""
+        self._policy = getattr(self.executor, "policy", None)
+        self._fault_types: tuple = ()
+        if self._policy is not None:
+            from ..fault.guard import ExecutionFault
+
+            self._fault_types = (ExecutionFault,)
+
     # -- episode control -------------------------------------------------------
 
     def reset(self, func: FuncOp | None = None) -> Observation:
         """Start a new episode on ``func`` (or the provider's next one).
 
-        With fault tolerance on, a provider-drawn function whose
-        baseline evaluation faults (timeout past retries, quarantined)
-        is replaced by the provider's next draw, up to
-        ``exec_retries`` redraws; an explicitly given function re-raises
-        — the caller chose it.
+        On a guarded executor, a provider-drawn function whose baseline
+        evaluation faults (timeout past retries, quarantined) is
+        replaced by the provider's next draw, up to the guard's
+        ``retries`` redraws; an explicitly given function re-raises —
+        the caller chose it.
         """
         provider_drawn = func is None
         if provider_drawn:
             if self._provider is None:
                 raise ValueError("no benchmark provider and no function given")
             func = self._provider()
-        redraws = self.config.exec_retries if provider_drawn else 0
+        redraws = (
+            self._policy.retries if provider_drawn and self._policy else 0
+        )
         while True:
             if not func.body:
                 raise ValueError(f"function @{func.name} has no linalg ops")
@@ -211,6 +208,7 @@ class MlirRlEnv:
         if executor is None:
             executor = retargeted_executor(self.executor, spec)
         self.executor = executor
+        self._guard_faults()
         self.reward_model = RewardModel(
             self.executor, self.config.reward_mode
         )
@@ -438,7 +436,7 @@ class MlirRlEnv:
         The episode cannot continue — its reward signal is gone — but
         the *rollout* can: the caller sees a normal terminal step with
         ``info["execution_fault"]`` set, a neutral ``speedup`` of 1.0,
-        and :attr:`EnvConfig.fault_penalty` as the reward.
+        and :data:`FAULT_PENALTY` as the reward.
         """
         assert self._reward_state is not None
         info["execution_fault"] = f"{type(error).__name__}: {error}"
@@ -446,7 +444,7 @@ class MlirRlEnv:
         info["executions"] = self._reward_state.executions
         self._pointer_placed = []
         self._current = None
-        return StepResult(None, self.config.fault_penalty, True, info)
+        return StepResult(None, FAULT_PENALTY, True, info)
 
     def _attach_exec_info(self, info: dict, done: bool = False) -> None:
         """Record speedup/execution telemetry on a step's info dict.

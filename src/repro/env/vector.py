@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,10 @@ from .config import EnvConfig, PAPER_CONFIG
 from .environment import MlirRlEnv, Observation
 from .features import feature_size
 from .masking import ActionMask
+
+if TYPE_CHECKING:
+    from ..fault.guard import GuardPolicy
+    from ..fault.plan import FaultPlan
 
 
 @dataclass
@@ -108,6 +112,26 @@ class _VectorEnvBase:
             if observation is not None
         ]
 
+    def _stepped_slots(self, actions: Sequence[EnvAction | None]) -> list[int]:
+        """The slots ``actions`` steps: one action per running slot,
+        ``None`` for each finished one.  Raises before any slot is
+        stepped, so a bad batch leaves every episode where it was."""
+        if len(actions) != self.num_envs:
+            raise ValueError(
+                f"{len(actions)} actions for {self.num_envs} environments"
+            )
+        stepped = []
+        for index, action in enumerate(actions):
+            if self._observations[index] is not None:
+                if action is None:
+                    raise ValueError(f"environment {index} expects an action")
+                stepped.append(index)
+            elif action is not None:
+                raise ValueError(
+                    f"environment {index} already finished its episode"
+                )
+        return stepped
+
 
 class VecMlirRlEnv(_VectorEnvBase):
     """N independent episodes stepped as one batch.
@@ -177,29 +201,16 @@ class VecMlirRlEnv(_VectorEnvBase):
 
     def step(self, actions: Sequence[EnvAction | None]) -> VecStepResult:
         """Apply one action per environment (None for finished slots)."""
-        if len(actions) != self.num_envs:
-            raise ValueError(
-                f"{len(actions)} actions for {self.num_envs} environments"
-            )
+        stepped = self._stepped_slots(actions)
         rewards = np.zeros(self.num_envs)
-        dones = np.zeros(self.num_envs, dtype=bool)
-        infos: list[dict] = []
-        for index, (env, action) in enumerate(zip(self.envs, actions)):
-            if self._observations[index] is None:
-                if action is not None:
-                    raise ValueError(
-                        f"environment {index} already finished its episode"
-                    )
-                dones[index] = True
-                infos.append({})
-                continue
-            if action is None:
-                raise ValueError(f"environment {index} expects an action")
-            result = env.step(action)
+        dones = np.ones(self.num_envs, dtype=bool)  # finished slots stay done
+        infos: list[dict] = [{} for _ in range(self.num_envs)]
+        for index in stepped:
+            result = self.envs[index].step(actions[index])
             self._observations[index] = result.observation
             rewards[index] = result.reward
             dones[index] = result.done
-            infos.append(result.info)
+            infos[index] = result.info
         return VecStepResult(self._stack(), rewards, dones, infos)
 
     def final_speedup(self, index: int) -> float:
@@ -226,12 +237,12 @@ def _unpack_observation(payload) -> Observation | None:
 
 
 class WorkerError(RuntimeError):
-    """A worker process died, hung, or desynchronized its pipe protocol.
+    """A worker process died, hung, or raised.
 
     Carries which worker failed (``index``) and whether the process was
-    still alive when the failure was detected (``alive`` — True means a
-    hang/timeout rather than a death), so supervisors can pick the
-    right recovery and error messages can say what actually happened.
+    still alive when the failure was detected (``alive`` — True for a
+    hang or an exception the worker's environment raised), so error
+    messages can say what actually happened.
     """
 
     def __init__(self, index: int, message: str, alive: bool = False):
@@ -246,6 +257,8 @@ def _async_env_worker(
     provider,
     seed: np.random.SeedSequence,
     machine: MachineSpec,
+    policy: GuardPolicy | None,
+    warm_entries: Sequence,
 ) -> None:
     """One worker process hosting one :class:`MlirRlEnv`.
 
@@ -261,13 +274,33 @@ def _async_env_worker(
     — shipped as a value (frozen, picklable) rather than re-resolved
     here, so machines registered at runtime survive spawn-started
     workers whose fresh interpreter only has the built-in registry.
+    ``policy`` is the parent executor's guard policy: a guarded parent
+    gets guarded workers.  ``warm_entries`` seed a respawned worker's
+    timing cache (see :meth:`AsyncVecMlirRlEnv._recover`).
     """
+    import gc
     import random
 
+    # A forked worker inherits the parent's objects but never needs to
+    # collect them.  Freezing them keeps its garbage collector from
+    # touching, and so copying, the parent's pages, which made respawns
+    # from a large parent measurably slower.
+    gc.freeze()
     words = seed.generate_state(2)
     random.seed(int(words[0]))
     np.random.seed(int(words[1]))
-    env = MlirRlEnv(provider, config, CachingExecutor(machine))
+    executor: Executor = CachingExecutor(machine)
+    if policy is not None:
+        from ..fault.guard import GuardedExecutor
+
+        executor = GuardedExecutor(executor, policy)
+    env = MlirRlEnv(provider, config, executor)
+    if warm_entries:
+        # Draining first starts the journal, and absorbed entries are
+        # never journaled, so later drains ship only what this worker
+        # times itself, not these entries back to every peer.
+        executor.cache.drain_updates()
+        executor.cache.absorb_updates(warm_entries)
     try:
         while True:
             message = conn.recv()
@@ -300,17 +333,17 @@ def _async_env_worker(
                     env.set_machine(message[1])
                     conn.send(("ok", None))
                 elif command == "burn_draws":
-                    # Supervisor replay: fast-forward the provider's RNG
-                    # consumption past draws a dead predecessor already
-                    # made, so the respawned worker's next reset(None)
-                    # yields the draw the episode actually ran on.
+                    # Replay: fast-forward the provider's RNG consumption
+                    # past draws a dead predecessor already made, so the
+                    # respawned worker's next reset(None) yields the
+                    # draw the episode actually ran on.
                     for _ in range(message[1]):
                         if provider is not None:
                             provider()
                     conn.send(("ok", None))
                 elif command == "hang":
                     # Test hook: simulate a hung (alive but unresponsive)
-                    # worker for the supervisor's recv-timeout path.
+                    # worker for the pool's recv-timeout path.
                     import time as _time
 
                     _time.sleep(message[1])
@@ -326,8 +359,25 @@ def _async_env_worker(
         pass
 
 
+#: Seconds a worker may stay silent before the pool treats it as hung
+#: and respawns it.
+RECV_TIMEOUT_SECONDS = 60.0
+#: Consecutive failed respawns before the pool degrades to in-process
+#: environments.
+MAX_RESPAWNS = 3
+
+
+@dataclass
+class _EpisodeLog:
+    """Replay record of one in-flight episode on one slot."""
+
+    func: FuncOp | None
+    actions: list[EnvAction] = field(default_factory=list)
+
+
 class AsyncVecMlirRlEnv(_VectorEnvBase):
-    """The :class:`VecMlirRlEnv` interface over a multiprocessing pool.
+    """The :class:`VecMlirRlEnv` interface over a multiprocessing pool
+    that survives dead and hung workers.
 
     Each slot is an :class:`MlirRlEnv` living in its own worker process;
     :meth:`step` dispatches every active slot's action before collecting
@@ -349,6 +399,37 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
     * a ``benchmark_provider`` must be picklable under the chosen start
       method ("fork" by default, where it need not pickle at all).
 
+    Recovery is replay, not checkpointing.  The pool logs each slot's
+    in-flight episode: its reset function and the actions applied so
+    far.  A worker that dies, or stays silent for
+    :data:`RECV_TIMEOUT_SECONDS`, is respawned from its *original*
+    ``SeedSequence``, fast-forwards the benchmark-provider draws its
+    predecessor made, and replays the episode prefix; the vector
+    operation that saw the failure is then re-issued.  Every
+    environment step is deterministic given the reset function and the
+    actions, so recovered rollouts are reward-identical to fault-free
+    ones.  After :data:`MAX_RESPAWNS` consecutive failed respawns the
+    pool degrades: the workers are torn down and every slot is replayed
+    into an in-process :class:`MlirRlEnv` on the parent ``executor``.
+    Throughput drops to one process, but the run completes.  (A
+    degraded replay of an episode whose reset drew from a worker-side
+    benchmark provider cannot recover that draw; explicit reset
+    functions, which the batched collectors always pass, replay
+    exactly.)
+
+    A worker whose environment raises replies with the error and stays
+    in sync, so that is the caller's error, not a worker fault: the
+    pool closes and raises :class:`WorkerError` naming the worker and
+    the error, and the next use fails loudly (``PPOTrainer`` starts a
+    fresh pool).
+
+    A :class:`~repro.fault.guard.GuardedExecutor` as ``executor`` makes
+    every worker guarded by its :class:`~repro.fault.guard.GuardPolicy`.
+    Fault injection: one ``"worker"``-site draw of ``plan`` (default:
+    the installed plan) per vector step, where a scheduled ``kill``
+    terminates a stepping worker with ``Process.kill``; a
+    ``"respawn"``-site ``fail`` makes one respawn attempt fail.
+
     Workers are daemonic: an abandoned pool dies with the parent.  Call
     :meth:`close` (or use the pool as a context manager) for an orderly
     shutdown.
@@ -362,22 +443,46 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         executor: Executor | None = None,
         seed: int = 0,
         start_method: str | None = None,
+        plan: FaultPlan | None = None,
     ):
         if num_envs < 1:
             raise ValueError("need at least one environment")
+        # A worker's first action mask imports repro.analysis lazily
+        # (the import breaks a registry <-> verifier cycle), and the
+        # parent never computes a mask.  Importing it here, before the
+        # first fork, lets every worker and every respawn inherit the
+        # module instead of paying ~18 ms to import it again.
+        from .. import analysis  # noqa: F401
+
         self.config = config
-        #: parent-side merge target for :meth:`sync_timing_caches`
+        #: parent-side merge target for :meth:`sync_timing_caches`, and
+        #: the executor degraded slots run on
         self.executor = executor or CachingExecutor(config.machine_spec())
         if start_method is None:
             methods = mp.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
-        #: respawn ingredients, kept so a supervisor can replace a dead
-        #: worker with one seeded by the *original* SeedSequence spawn
-        #: key (deterministic replay) on the *current* machine spec.
+        #: respawn ingredients: a replacement worker is seeded by the
+        #: *original* SeedSequence spawn key (deterministic replay) and
+        #: starts on the *current* machine spec.
         self._context = mp.get_context(start_method)
         self._provider = benchmark_provider
         self._worker_seeds = np.random.SeedSequence(seed).spawn(num_envs)
         self._machine = config.machine_spec()
+        #: the guard policy of a GuardedExecutor parent, for its workers
+        self._policy = getattr(self.executor, "policy", None)
+        #: None falls back to the process-wide installed plan (the
+        #: ``--chaos`` path) at draw time.
+        self._plan = plan
+        self._logs: list[_EpisodeLog | None] = [None] * num_envs
+        #: completed provider draws (reset(None) calls) per slot — the
+        #: burn count a replacement worker must fast-forward.
+        self._draws = [0] * num_envs
+        self._consecutive_respawn_failures = 0
+        self.respawns = 0
+        self.injected_kills = 0
+        #: in-process replacements of every slot once the pool degraded
+        self._local: list[MlirRlEnv] | None = None
+        self._closed = False
         self._parents = []
         self._processes = []
         for index in range(num_envs):
@@ -386,10 +491,10 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
             self._processes.append(process)
         self._observations: list[Observation | None] = [None] * num_envs
         self._feature = feature_size(config)
-        self._closed = False
 
-    def _spawn_worker(self, index: int):
-        """Start worker ``index``; returns (parent pipe end, process)."""
+    def _spawn_worker(self, index: int, warm_entries: Sequence = ()):
+        """Start worker ``index`` with ``warm_entries`` in its timing
+        cache; returns (parent pipe end, process)."""
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_async_env_worker,
@@ -399,6 +504,8 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
                 self._provider,
                 self._worker_seeds[index],
                 self._machine,
+                self._policy,
+                warm_entries,
             ),
             daemon=True,
         )
@@ -410,11 +517,16 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
     def num_envs(self) -> int:
         return len(self._processes)
 
+    @property
+    def degraded(self) -> bool:
+        """True once every slot runs in-process on the parent executor."""
+        return self._local is not None
+
     # -- worker protocol --------------------------------------------------------
 
-    def _send_raw(self, index: int, message: tuple) -> None:
-        """Send without pool teardown; raises :class:`WorkerError` on a
-        broken pipe (worker already dead)."""
+    def _send(self, index: int, message: tuple) -> None:
+        """Send ``message`` to worker ``index``; raises
+        :class:`WorkerError` on a broken pipe (worker already dead)."""
         if self._closed:
             raise RuntimeError("async vector environment is closed")
         try:
@@ -426,27 +538,25 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
                 f"{message[0]!r}: {type(error).__name__}",
             ) from error
 
-    def _recv_raw(self, index: int, timeout: float | None = None):
-        """Receive without pool teardown.
+    def _recv(self, index: int) -> tuple:
+        """Worker ``index``'s next ``(status, payload)`` reply.
 
         Raises :class:`WorkerError` when the worker died (EOF/broken
-        pipe), hung past ``timeout`` seconds, or answered with an error
-        status — naming the worker in every case.  The caller decides
-        whether to tear the pool down (:meth:`_recv`) or recover the
-        one worker (a supervisor).
+        pipe) or stayed silent for :data:`RECV_TIMEOUT_SECONDS`, naming
+        the worker in either case.
         """
         parent = self._parents[index]
         try:
-            if timeout is not None and not parent.poll(timeout):
+            if not parent.poll(RECV_TIMEOUT_SECONDS):
                 alive = self._processes[index].is_alive()
                 state = "is hung (alive but unresponsive)" if alive else "died"
                 raise WorkerError(
                     index,
                     f"worker {index} {state}: no reply within "
-                    f"{timeout:g}s",
+                    f"{RECV_TIMEOUT_SECONDS:g}s",
                     alive=alive,
                 )
-            status, payload = parent.recv()
+            return parent.recv()
         except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as error:
             raise WorkerError(
                 index,
@@ -454,32 +564,160 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
                 f"(exit code {self._processes[index].exitcode}): "
                 f"{type(error).__name__}",
             ) from error
+
+    def _dispatch(self, index: int, message: tuple) -> None:
+        """Send ``message`` unless the pool degraded.  A dead worker is
+        left for :meth:`_collect`, which recovers it and re-issues
+        ``message``."""
+        if self.degraded:
+            return
+        try:
+            self._send(index, message)
+        except WorkerError:
+            pass
+
+    def _collect(self, index: int, message: tuple):
+        """Worker ``index``'s reply payload to the dispatched ``message``.
+
+        A dead or hung worker is recovered and ``message`` re-issued to
+        its replacement.  Returns None when the pool degraded instead:
+        the caller finishes the operation on the local environments.
+        An error reply closes the pool and raises :class:`WorkerError`.
+        """
+        for attempt in range(MAX_RESPAWNS + 1):
+            if self.degraded:
+                return None
+            try:
+                if attempt:
+                    self._send(index, message)
+                status, payload = self._recv(index)
+            except WorkerError:
+                if attempt < MAX_RESPAWNS:
+                    self._recover(index)
+                continue
+            if status != "ok":
+                # Other workers may still have queued replies, so the
+                # pipe protocol cannot go on; tear the pool down.
+                self.close()
+                raise WorkerError(
+                    index, f"worker {index} failed: {payload}", alive=True
+                )
+            return payload
+        self._degrade()
+        return None
+
+    # -- recovery ---------------------------------------------------------------
+
+    def _active_plan(self) -> FaultPlan | None:
+        from ..fault.plan import active_plan
+
+        return self._plan if self._plan is not None else active_plan()
+
+    def _maybe_kill_worker(self, stepped: list[int]) -> None:
+        """One ``worker``-site draw per vector step; ``kill`` terminates
+        a stepping worker (round-robin victim) with SIGKILL."""
+        plan = self._active_plan()
+        if plan is None or not stepped:
+            return
+        if plan.draw("worker", context="vector step") == "kill":
+            victim = stepped[self.injected_kills % len(stepped)]
+            self.injected_kills += 1
+            self._processes[victim].kill()
+            self._processes[victim].join(timeout=5)
+
+    def _stop_worker(self, index: int, grace: float = 0.0) -> None:
+        """End worker ``index``: give its process ``grace`` seconds to
+        exit, close its pipe, then terminate and finally kill it."""
+        process = self._processes[index]
+        process.join(timeout=grace)
+        self._parents[index].close()
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=1)
+        if process.is_alive():  # pragma: no cover - defensive
+            process.kill()
+            process.join(timeout=1)
+
+    def _replay_call(self, index: int, message: tuple) -> None:
+        """One replay round trip; any failure fails the respawn."""
+        self._send(index, message)
+        status, payload = self._recv(index)
         if status != "ok":
             raise WorkerError(
-                index, f"worker {index} failed: {payload}", alive=True
+                index, f"worker {index} failed replay: {payload}", alive=True
             )
-        return payload
 
-    def _send(self, index: int, message: tuple) -> None:
-        try:
-            self._send_raw(index, message)
-        except WorkerError:
-            # A dead worker desynchronizes nothing on send, but the pool
-            # cannot complete this vector operation — fail loudly and
-            # release every other worker.
-            self.close()
-            raise
+    def _replay(self, index: int) -> None:
+        """Bring a freshly spawned worker to the dead one's state.
 
-    def _recv(self, index: int):
-        try:
-            return self._recv_raw(index)
-        except WorkerError:
-            # Other workers may still have queued replies; a later recv
-            # would read them against the wrong command.  The pool's
-            # pipe protocol is desynchronized — tear it down so the next
-            # use fails loudly (and PPOTrainer starts a fresh pool).
-            self.close()
-            raise
+        Burns provider draws of *completed* resets, then re-runs the
+        in-flight episode (reset + logged actions).  Raises
+        :class:`WorkerError` if the replacement fails mid-replay.
+        """
+        log = self._logs[index]
+        burn = self._draws[index]
+        if log is not None and log.func is None:
+            burn -= 1  # the replayed reset below re-makes this draw
+        if burn > 0:
+            self._replay_call(index, ("burn_draws", burn))
+        if log is None:
+            return
+        self._replay_call(index, ("reset", log.func))
+        for action in log.actions:
+            self._replay_call(index, ("step", action))
+
+    def _recover(self, index: int) -> None:
+        """Respawn worker ``index`` and replay its episode prefix;
+        degrade to in-process environments after :data:`MAX_RESPAWNS`
+        consecutive failed respawns."""
+        self._stop_worker(index)
+        # The replacement starts warm from the parent's merged timing
+        # cache: past syncs absorbed its predecessor's entries without
+        # re-journaling them, so future syncs alone would leave it
+        # re-executing everything already paid for.  A forked worker
+        # inherits the entries instead of unpickling them from its pipe.
+        cache = getattr(self.executor, "cache", None)
+        entries = cache.entries() if cache is not None else []
+        plan = self._active_plan()
+        while True:
+            injected = (
+                plan.draw("respawn", context=f"worker {index}")
+                if plan
+                else None
+            )
+            if injected != "fail":
+                try:
+                    parent, process = self._spawn_worker(index, entries)
+                    self._parents[index] = parent
+                    self._processes[index] = process
+                    self._replay(index)
+                except WorkerError:
+                    self._stop_worker(index)
+                else:
+                    self._consecutive_respawn_failures = 0
+                    self.respawns += 1
+                    return
+            self._consecutive_respawn_failures += 1
+            if self._consecutive_respawn_failures >= MAX_RESPAWNS:
+                self._degrade()
+                return
+
+    def _degrade(self) -> None:
+        """Tear the pool down and replay every slot's episode prefix into
+        an in-process environment on the parent executor."""
+        for index in range(self.num_envs):
+            self._stop_worker(index)
+        local: list[MlirRlEnv] = []
+        for log in self._logs:
+            env = MlirRlEnv(self._provider, self.config, self.executor)
+            if self._machine != self.config.machine_spec():
+                env.set_machine(self._machine, executor=self.executor)
+            if log is not None:
+                env.reset(log.func)
+                for action in log.actions:
+                    env.step(action)
+            local.append(env)
+        self._local = local
 
     # -- VecMlirRlEnv interface -------------------------------------------------
 
@@ -493,46 +731,64 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
             raise ValueError(
                 f"{len(funcs)} functions for {self.num_envs} environments"
             )
-        for index, func in enumerate(funcs):
-            self._send(index, ("reset", func))
         self._observations = [None] * self.num_envs
-        for index in range(len(funcs)):
-            self._observations[index] = _unpack_observation(self._recv(index))
+        for index, func in enumerate(funcs):
+            # the old episode needs no replay once a new reset is in
+            # flight, so a recovery before its reply only burns draws.
+            self._logs[index] = None
+            self._dispatch(index, ("reset", func))
+        for index, func in enumerate(funcs):
+            payload = self._collect(index, ("reset", func))
+            if self.degraded:
+                # Degraded before this slot's reply: (re)start its
+                # episode locally.  Slots collected earlier keep their
+                # worker-reported observations; _degrade replayed them.
+                self._observations[index] = self._local[index].reset(func)
+            else:
+                self._observations[index] = _unpack_observation(payload)
+                if func is None:
+                    self._draws[index] += 1
+            self._logs[index] = _EpisodeLog(func)
         return self._stack()
 
     def step(self, actions: Sequence[EnvAction | None]) -> VecStepResult:
         """Apply one action per environment (None for finished slots)."""
-        if len(actions) != self.num_envs:
-            raise ValueError(
-                f"{len(actions)} actions for {self.num_envs} environments"
-            )
+        stepped = self._stepped_slots(actions)
         rewards = np.zeros(self.num_envs)
-        dones = np.zeros(self.num_envs, dtype=bool)
+        dones = np.ones(self.num_envs, dtype=bool)  # finished slots stay done
         infos: list[dict] = [{} for _ in range(self.num_envs)]
-        stepped = []
-        for index, action in enumerate(actions):
-            if self._observations[index] is None:
-                if action is not None:
-                    raise ValueError(
-                        f"environment {index} already finished its episode"
-                    )
-                dones[index] = True
-                continue
-            if action is None:
-                raise ValueError(f"environment {index} expects an action")
-            self._send(index, ("step", action))
-            stepped.append(index)
+        if not self.degraded:
+            self._maybe_kill_worker(stepped)
         for index in stepped:
-            packed, reward, done, info = self._recv(index)
-            self._observations[index] = _unpack_observation(packed)
+            self._dispatch(index, ("step", actions[index]))
+        for index in stepped:
+            action = actions[index]
+            payload = self._collect(index, ("step", action))
+            if self.degraded:
+                # The local env holds exactly the logged prefix; this
+                # slot's action is applied (and logged) here.
+                result = self._local[index].step(action)
+                observation = result.observation
+                reward, done, info = result.reward, result.done, result.info
+            else:
+                packed, reward, done, info = payload
+                observation = _unpack_observation(packed)
+            self._observations[index] = observation
             rewards[index] = reward
             dones[index] = done
             infos[index] = info
+            log = self._logs[index]
+            if log is not None:
+                log.actions.append(action)
         return VecStepResult(self._stack(), rewards, dones, infos)
 
     def final_speedup(self, index: int) -> float:
-        self._send(index, ("final_speedup",))
-        return float(self._recv(index))
+        message = ("final_speedup",)
+        self._dispatch(index, message)
+        payload = self._collect(index, message)
+        if self.degraded:
+            return self._local[index].final_speedup()
+        return float(payload)
 
     # -- cache sync / lifecycle -------------------------------------------------
 
@@ -548,12 +804,18 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         from ..machine.registry import spec as resolve_machine
 
         spec = resolve_machine(spec)
-        for index in range(self.num_envs):
-            self._send(index, ("set_machine", spec))
-        for index in range(self.num_envs):
-            self._recv(index)
-        self._machine = spec  # respawned workers start on the new machine
+        # Record first: a worker respawned (or a slot degraded) during
+        # this call must already start on the new machine.
+        self._machine = spec
         self.executor = retargeted_executor(self.executor, spec)
+        message = ("set_machine", spec)
+        for index in range(self.num_envs):
+            self._dispatch(index, message)
+        for index in range(self.num_envs):
+            self._collect(index, message)
+        if self.degraded:
+            for env in self._local:
+                env.set_machine(spec, executor=self.executor)
 
     def sync_timing_caches(self) -> int:
         """Exchange new timing-cache entries between all workers.
@@ -561,29 +823,46 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         Pulls each worker's (and the parent executor's) entries added
         since the last sync, merges them, and pushes the union back, so
         a baseline or schedule timed once in any process is a hit
-        everywhere.  Returns the number of distinct entries exchanged.
+        everywhere.  Returns the number of distinct entries exchanged
+        (0 once degraded: local envs share the parent executor).
         """
+        if self.degraded:
+            return 0
         updates: list = []
         cache = getattr(self.executor, "cache", None)
         if cache is not None:
             updates.extend(cache.drain_updates())
         for index in range(self.num_envs):
-            self._send(index, ("cache_drain",))
+            self._dispatch(index, ("cache_drain",))
         for index in range(self.num_envs):
-            updates.extend(self._recv(index))
+            payload = self._collect(index, ("cache_drain",))
+            if self.degraded:
+                return 0
+            updates.extend(payload)
         if not updates:
             return 0
         merged: dict = {}
         for level, key, value in updates:
             merged.setdefault((level, key), (level, key, value))
         deduped = list(merged.values())
+        message = ("cache_absorb", deduped)
         for index in range(self.num_envs):
-            self._send(index, ("cache_absorb", deduped))
+            self._dispatch(index, message)
         for index in range(self.num_envs):
-            self._recv(index)
+            self._collect(index, message)
         if cache is not None:
             cache.absorb_updates(deduped)
         return len(deduped)
+
+    def telemetry(self) -> dict:
+        return {
+            "respawns": self.respawns,
+            "injected_kills": self.injected_kills,
+            "degraded": self.degraded,
+            "consecutive_respawn_failures": (
+                self._consecutive_respawn_failures
+            ),
+        }
 
     @property
     def closed(self) -> bool:
@@ -592,32 +871,22 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
     def close(self) -> None:
         """Shut the worker pool down (idempotent).
 
-        Never blocks on a dead or hung worker: acknowledgements are
-        polled with a timeout rather than awaited, and a process that
-        does not join is terminated, then killed.
+        Never blocks on a dead or hung worker: each process gets a few
+        seconds to exit after the ``close`` command, then is
+        terminated, then killed.
         """
         if self._closed:
             return
         self._closed = True
+        if self.degraded:
+            return  # the workers are already down
         for parent in self._parents:
             try:
                 parent.send(("close",))
             except (BrokenPipeError, ConnectionResetError, OSError):
                 pass
-        for parent in self._parents:
-            try:
-                if parent.poll(1.0):
-                    parent.recv()
-            except (EOFError, BrokenPipeError, ConnectionResetError, OSError):
-                pass
-            parent.close()
-        for process in self._processes:
-            process.join(timeout=5)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.kill()
+        for index in range(self.num_envs):
+            self._stop_worker(index, grace=5)
 
     def __enter__(self) -> "AsyncVecMlirRlEnv":
         return self

@@ -1,9 +1,11 @@
-"""Fault tolerance: execution guards, worker supervision, crash-safe
-persistence, and deterministic fault injection.
+"""Fault tolerance: execution guards, crash-safe persistence, and
+deterministic fault injection.
 
 See :mod:`repro.fault.plan` for the injection model, ``guard`` for
-timeouts/retries/quarantine around executors, ``supervision`` for the
-self-healing vector environment, and ``atomic`` for crash-safe writes.
+timeouts/retries/quarantine around executors (its
+:class:`~repro.fault.guard.GuardPolicy` is the one fault config), and
+``atomic`` for crash-safe writes.  Worker recovery lives in the rollout
+pool, :class:`~repro.env.vector.AsyncVecMlirRlEnv`.
 """
 
 from .atomic import (
@@ -34,7 +36,6 @@ from .plan import (
     install_plan,
     random_plan,
 )
-from .supervision import SupervisedAsyncVecEnv, WorkerError
 
 __all__ = [
     "SITE_KINDS",
@@ -49,8 +50,6 @@ __all__ = [
     "InjectedError",
     "QuarantineList",
     "QuarantinedError",
-    "SupervisedAsyncVecEnv",
-    "WorkerError",
     "active_plan",
     "atomic_write",
     "atomic_write_text",

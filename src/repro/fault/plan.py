@@ -1,6 +1,6 @@
 """Deterministic fault injection: seeded plans of scheduled failures.
 
-The fault-tolerance layer (execution guards, worker supervision,
+The fault-tolerance layer (execution guards, worker recovery,
 crash-safe persistence) exists for events that are rare and
 non-deterministic in production: a pathological schedule hanging the
 interpreter, a fork worker dying, a power cut truncating a cache file.
@@ -27,7 +27,9 @@ Installation: components accept an explicit ``plan=``; the module-level
 where threading a plan through every constructor is impractical.  The
 registry is parent-process-only — forked children start with no plan
 (see :func:`_clear_plan_after_fork`) so a worker never double-fires
-events the supervisor drives from the parent.
+events the rollout pool drives from the parent.  Exec events therefore
+fire only where executions run in the parent: in-process collection,
+not ``--workers`` pool workers.
 """
 
 from __future__ import annotations
@@ -347,7 +349,7 @@ def chaos(plan: FaultPlan):
 def _clear_plan_after_fork() -> None:
     """Forked children never inherit the parent's plan.
 
-    Injection is parent-driven: the supervisor kills workers and the
+    Injection is parent-driven: the rollout pool kills workers and the
     parent's guards/writers fire exec/write events.  A child that kept
     the plan would double-fire the same occurrences on its own guarded
     calls, making recovery non-deterministic.

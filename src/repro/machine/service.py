@@ -465,7 +465,7 @@ class ExecutionCache:
 
         The triples are structural and picklable: :meth:`save` encodes
         them, the dataset exporter reads the schedule level, a
-        supervisor warm-starts a respawned worker with them, and the
+        rollout pool warm-starts a respawned worker with them, and the
         first drain ships them.
         """
         with self._lock:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..env.environment import MlirRlEnv
-from ..env.vector import VecMlirRlEnv
+from ..env.vector import AsyncVecMlirRlEnv, VecMlirRlEnv
 from ..ir.ops import FuncOp
 from ..nn.optim import Adam, clip_grad_norm
 from ..nn.tensor import Tensor, where
@@ -51,23 +51,12 @@ class PPOConfig:
     #: seed-exact path); N > 1 steps episodes through a persistent
     #: :class:`~repro.env.vector.AsyncVecMlirRlEnv` pool of
     #: ``max(num_envs, num_workers)`` slots with cross-worker
-    #: timing-cache sync.  Like ``num_envs`` > 1, the parallel collector
+    #: timing-cache sync, which respawns dead or hung workers and
+    #: replays their episodes.  Like ``num_envs`` > 1, the parallel collector
     #: draws per-episode generators up front, so RNG consumption differs
     #: from sequential collection — but is identical between the async
     #: pool and an equally sized in-process vector env.
     num_workers: int = 1
-    #: Supervise the rollout pool: dead/hung workers are respawned from
-    #: their original seeds and the in-flight episode prefix replayed
-    #: (reward-identical recovery), degrading to in-process collection
-    #: after repeated respawn failures.  Off by default — the
-    #: unsupervised pool is the exact pre-existing code path.
-    supervise_workers: bool = False
-    #: Supervision only: seconds a worker may go silent before being
-    #: treated as hung and respawned.
-    worker_recv_timeout: float = 60.0
-    #: Supervision only: consecutive respawn failures before the
-    #: trainer degrades to in-process collection.
-    max_worker_respawns: int = 3
 
     def __post_init__(self) -> None:
         if self.num_envs < 1:
@@ -92,16 +81,6 @@ class PPOConfig:
                 f"PPOConfig.minibatch_size must be >= 2, got "
                 f"{self.minibatch_size} (singleton minibatches are "
                 "skipped by the update loop)"
-            )
-        if self.worker_recv_timeout <= 0:
-            raise ValueError(
-                "PPOConfig.worker_recv_timeout must be > 0 seconds, got "
-                f"{self.worker_recv_timeout}"
-            )
-        if self.max_worker_respawns < 1:
-            raise ValueError(
-                "PPOConfig.max_worker_respawns must be >= 1, got "
-                f"{self.max_worker_respawns}"
             )
 
 
@@ -223,33 +202,18 @@ class PPOTrainer:
     def _parallel_env(self):
         """The persistent multiprocessing rollout pool (lazily started).
 
-        A pool torn down by a worker failure is replaced on the next
+        A pool closed by a worker's error is replaced on the next
         collection instead of reused with a desynchronized protocol.
         """
         if self._async_env is not None and self._async_env.closed:
             self._async_env = None
         if self._async_env is None:
-            width = max(self.config.num_envs, self.config.num_workers)
-            if self.config.supervise_workers:
-                from ..fault.supervision import SupervisedAsyncVecEnv
-
-                self._async_env = SupervisedAsyncVecEnv(
-                    width,
-                    config=self.env.config,
-                    executor=self.env.executor,
-                    seed=self._pool_seed,
-                    recv_timeout=self.config.worker_recv_timeout,
-                    max_respawns=self.config.max_worker_respawns,
-                )
-            else:
-                from ..env.vector import AsyncVecMlirRlEnv
-
-                self._async_env = AsyncVecMlirRlEnv(
-                    width,
-                    config=self.env.config,
-                    executor=self.env.executor,
-                    seed=self._pool_seed,
-                )
+            self._async_env = AsyncVecMlirRlEnv(
+                max(self.config.num_envs, self.config.num_workers),
+                config=self.env.config,
+                executor=self.env.executor,
+                seed=self._pool_seed,
+            )
             # Fresh workers time on the config's registered machine; if
             # the training env was retargeted (round-robin schedules,
             # an explicit set_machine), bring them onto its spec.

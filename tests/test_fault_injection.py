@@ -1,5 +1,5 @@
-"""Deterministic fault injection (PR 8): FaultPlan, worker supervision,
-and the chaos-smoke recovery-identity property.
+"""Deterministic fault injection: FaultPlan, worker recovery in the
+rollout pool, and the chaos-smoke recovery-identity property.
 
 The load-bearing property is *recovery determinism*: a run that suffers
 injected worker kills, execution timeouts, and torn cache writes must
@@ -14,14 +14,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.env import EnvAction, small_config
-from repro.env.environment import MlirRlEnv
-from repro.env.vector import AsyncVecMlirRlEnv
+from repro.env import EnvAction, small_config, vector
+from repro.env.environment import FAULT_PENALTY, MlirRlEnv
+from repro.env.vector import (
+    MAX_RESPAWNS,
+    AsyncVecMlirRlEnv,
+    VecMlirRlEnv,
+    WorkerError,
+)
 from repro.fault import (
     CorruptArtifactError,
+    ExecutionFault,
     FaultEvent,
     FaultPlan,
-    SupervisedAsyncVecEnv,
+    GuardedExecutor,
+    GuardPolicy,
     active_plan,
     chaos,
     install_plan,
@@ -104,12 +111,14 @@ _BASELINE_RECORDS: dict = {}
 
 
 def _baseline_record(funcs, seed):
-    # Memoized per seed: the property tests replay the same fault-free
-    # reference for every hypothesis example (funcs are always the
-    # standard [matmul, chain] pair at a given seed).
+    # The fault-free reference comes from the in-process vector env, so
+    # it does not depend on the pool under test.  Memoized per seed: the
+    # property tests replay the same reference for every hypothesis
+    # example (funcs are always the standard [matmul, chain] pair at a
+    # given seed).
     if seed not in _BASELINE_RECORDS:
-        with AsyncVecMlirRlEnv(len(funcs), config=CONFIG) as async_env:
-            _BASELINE_RECORDS[seed] = _run_vec(async_env, funcs, seed)
+        vec_env = VecMlirRlEnv(len(funcs), config=CONFIG)
+        _BASELINE_RECORDS[seed] = _run_vec(vec_env, funcs, seed)
     return _BASELINE_RECORDS[seed]
 
 
@@ -220,15 +229,24 @@ class TestPlanInstallation:
             install_plan(None)
 
 
+def _degrading_plan():
+    """One worker kill whose every respawn attempt fails."""
+    return FaultPlan(
+        [FaultEvent("worker", 1, "kill")]
+        + [
+            FaultEvent("respawn", occurrence, "fail")
+            for occurrence in range(1, MAX_RESPAWNS + 1)
+        ]
+    )
+
+
 class TestSupervisedRecovery:
     def test_fault_free_run_is_bit_identical(self):
         funcs = [_matmul_func(), _chain_func()]
         expected = _baseline_record(funcs, seed=7)
-        with SupervisedAsyncVecEnv(
-            2, config=CONFIG, recv_timeout=30.0
-        ) as supervised:
-            actual = _run_vec(supervised, funcs, seed=7)
-            telemetry = supervised.telemetry()
+        with AsyncVecMlirRlEnv(2, config=CONFIG) as pool:
+            actual = _run_vec(pool, funcs, seed=7)
+            telemetry = pool.telemetry()
         assert actual == expected
         assert telemetry["respawns"] == 0
         assert telemetry["injected_kills"] == 0
@@ -238,11 +256,9 @@ class TestSupervisedRecovery:
         funcs = [_matmul_func(), _chain_func()]
         expected = _baseline_record(funcs, seed=7)
         plan = FaultPlan([FaultEvent("worker", 2, "kill")])
-        with SupervisedAsyncVecEnv(
-            2, config=CONFIG, recv_timeout=30.0, plan=plan
-        ) as supervised:
-            actual = _run_vec(supervised, funcs, seed=7)
-            telemetry = supervised.telemetry()
+        with AsyncVecMlirRlEnv(2, config=CONFIG, plan=plan) as pool:
+            actual = _run_vec(pool, funcs, seed=7)
+            telemetry = pool.telemetry()
         assert actual == expected
         assert telemetry["injected_kills"] == 1
         assert telemetry["respawns"] >= 1
@@ -251,11 +267,9 @@ class TestSupervisedRecovery:
     def test_externally_killed_worker_recovers(self):
         funcs = [_matmul_func(), _chain_func()]
         expected = _baseline_record(funcs, seed=11)
-        with SupervisedAsyncVecEnv(
-            2, config=CONFIG, recv_timeout=30.0
-        ) as supervised:
+        with AsyncVecMlirRlEnv(2, config=CONFIG) as pool:
             rngs = [np.random.default_rng(11 + i) for i in range(2)]
-            vec_obs = supervised.reset(list(funcs))
+            vec_obs = pool.reset(list(funcs))
             record = []
             killed = False
             for _ in range(64):
@@ -268,10 +282,10 @@ class TestSupervisedRecovery:
                 if all(action is None for action in actions):
                     break
                 if not killed and record:
-                    supervised._processes[0].kill()
-                    supervised._processes[0].join(timeout=5)
+                    pool._processes[0].kill()
+                    pool._processes[0].join(timeout=5)
                     killed = True
-                result = supervised.step(actions)
+                result = pool.step(actions)
                 record.append(
                     (
                         result.rewards.tolist(),
@@ -281,8 +295,20 @@ class TestSupervisedRecovery:
                 )
                 vec_obs = result.observation
             assert killed
-            assert supervised.telemetry()["respawns"] >= 1
+            assert pool.telemetry()["respawns"] >= 1
         assert record == expected
+
+    def test_hung_worker_recovers(self, monkeypatch):
+        """A worker silent for RECV_TIMEOUT_SECONDS counts as hung: it
+        is terminated, respawned and replayed, reward-identically."""
+        monkeypatch.setattr(vector, "RECV_TIMEOUT_SECONDS", 0.5)
+        funcs = [_matmul_func(), _chain_func()]
+        expected = _baseline_record(funcs, seed=7)
+        with AsyncVecMlirRlEnv(2, config=CONFIG) as pool:
+            pool._send(1, ("hang", 30.0))
+            actual = _run_vec(pool, funcs, seed=7)
+            assert pool.telemetry()["respawns"] == 1
+        assert actual == expected
 
     def test_respawned_worker_reships_no_seeded_entries(self):
         """A respawned worker is warm-started with the parent's cache
@@ -292,11 +318,9 @@ class TestSupervisedRecovery:
         funcs = [_matmul_func(), _chain_func()]
 
         def run(kill):
-            with SupervisedAsyncVecEnv(
-                2, config=CONFIG, recv_timeout=30.0
-            ) as supervised:
+            with AsyncVecMlirRlEnv(2, config=CONFIG) as pool:
                 rngs = [np.random.default_rng(7 + i) for i in range(2)]
-                vec_obs = supervised.reset(list(funcs))
+                vec_obs = pool.reset(list(funcs))
                 record, syncs = [], []
                 for step in range(64):
                     actions = [
@@ -310,7 +334,7 @@ class TestSupervisedRecovery:
                     if all(action is None for action in actions):
                         break
                     if step == 1:
-                        syncs.append(supervised.sync_timing_caches())
+                        syncs.append(pool.sync_timing_caches())
                     if kill and step == 2:
                         # mid-episode: the victim is still stepping
                         victim = next(
@@ -318,9 +342,9 @@ class TestSupervisedRecovery:
                             for index, action in enumerate(actions)
                             if action is not None
                         )
-                        supervised._processes[victim].kill()
-                        supervised._processes[victim].join(timeout=5)
-                    result = supervised.step(actions)
+                        pool._processes[victim].kill()
+                        pool._processes[victim].join(timeout=5)
+                    result = pool.step(actions)
                     record.append(
                         (
                             result.rewards.tolist(),
@@ -329,9 +353,9 @@ class TestSupervisedRecovery:
                         )
                     )
                     vec_obs = result.observation
-                syncs.append(supervised.sync_timing_caches())
-                syncs.append(supervised.sync_timing_caches())
-                assert supervised.telemetry()["respawns"] == int(kill)
+                syncs.append(pool.sync_timing_caches())
+                syncs.append(pool.sync_timing_caches())
+                assert pool.telemetry()["respawns"] == int(kill)
             return record, syncs
 
         plain_record, plain_syncs = run(kill=False)
@@ -341,55 +365,83 @@ class TestSupervisedRecovery:
         assert syncs == plain_syncs
         assert syncs[2] == 0
 
-    def test_heartbeat_respawns_dead_workers(self):
-        with SupervisedAsyncVecEnv(
-            2, config=CONFIG, recv_timeout=30.0
-        ) as supervised:
-            assert supervised.heartbeat() == []
-            supervised._processes[1].kill()
-            supervised._processes[1].join(timeout=5)
-            assert supervised.heartbeat() == [1]
-            assert all(
-                process.is_alive() for process in supervised._processes
-            )
-
     def test_degrades_to_in_process_after_respawn_failures(self):
         funcs = [_matmul_func(), _chain_func()]
         expected = _baseline_record(funcs, seed=7)
-        plan = FaultPlan(
-            [
-                FaultEvent("worker", 1, "kill"),
-                FaultEvent("respawn", 1, "fail"),
-                FaultEvent("respawn", 2, "fail"),
-            ]
-        )
-        with SupervisedAsyncVecEnv(
-            2, config=CONFIG, recv_timeout=30.0, max_respawns=2, plan=plan
-        ) as supervised:
-            actual = _run_vec(supervised, funcs, seed=7)
-            assert supervised.telemetry()["degraded"]
+        with AsyncVecMlirRlEnv(
+            2, config=CONFIG, plan=_degrading_plan()
+        ) as pool:
+            actual = _run_vec(pool, funcs, seed=7)
+            assert pool.telemetry()["degraded"]
             # The degraded env keeps serving the full interface.
-            speedup = supervised.final_speedup(0)
+            speedup = pool.final_speedup(0)
             assert speedup > 0
-            assert supervised.sync_timing_caches() == 0
+            assert pool.sync_timing_caches() == 0
         assert actual == expected
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="recv_timeout"):
-            SupervisedAsyncVecEnv(1, config=CONFIG, recv_timeout=0.0)
-        with pytest.raises(ValueError, match="max_respawns"):
-            SupervisedAsyncVecEnv(1, config=CONFIG, max_respawns=0)
+    def test_worker_exception_is_not_a_fault(self):
+        """An env that raises in a worker leaves it alive and in sync:
+        the pool raises at once, names the worker, and closes, without
+        respawning, replaying or degrading."""
+        empty_func = FuncOp("empty", [tensor([4, 4])])
+        pool = AsyncVecMlirRlEnv(2, config=CONFIG)
+        try:
+            with pytest.raises(WorkerError, match="no linalg ops") as excinfo:
+                pool.reset([_matmul_func(), empty_func])
+            assert excinfo.value.index == 1
+            assert "worker 1" in str(excinfo.value)
+            assert pool.telemetry()["respawns"] == 0
+            assert not pool.degraded
+            assert pool.closed
+        finally:
+            pool.close()
+
+    def test_workers_and_degraded_envs_follow_parent_guard(self):
+        """The parent executor's GuardPolicy guards every worker and
+        every degraded slot; an unguarded parent guards none."""
+        # A baseline that takes tens of milliseconds against a budget of
+        # a microsecond: a guarded worker times out (once: retries=0),
+        # and an explicit reset function re-raises the fault.
+        x, y = tensor([24, 24]), tensor([24, 24])
+        long_chain = FuncOp("long_chain", [x, y])
+        current = x
+        for _ in range(200):
+            current = long_chain.append(add(current, y, empty([24, 24])))
+            current = current.result()
+        long_chain.returns = [current]
+        strict = GuardPolicy(timeout_seconds=1e-6, retries=0)
+        guarded = GuardedExecutor(CachingExecutor(), strict)
+        with (
+            AsyncVecMlirRlEnv(1, config=CONFIG, executor=guarded) as pool,
+            pytest.raises(WorkerError, match="ExecutionTimeout.* 1 att"),
+        ):
+            pool.reset([long_chain])
+        with AsyncVecMlirRlEnv(1, config=CONFIG) as pool:
+            assert pool.reset([long_chain]).active.all()
+
+        policy = GuardPolicy(retries=4)
+        with AsyncVecMlirRlEnv(
+            2,
+            config=CONFIG,
+            executor=GuardedExecutor(CachingExecutor(), policy),
+            plan=_degrading_plan(),
+        ) as pool:
+            _run_vec(pool, [_matmul_func(), _chain_func()], seed=7)
+            assert pool.degraded
+            for env in pool._local:
+                assert isinstance(env.executor, GuardedExecutor)
+                assert env.executor.policy == policy
+
+
+def _guarded_env(**policy):
+    """An env on a guarded executor with ``GuardPolicy(**policy)``."""
+    guard = GuardedExecutor(CachingExecutor(), GuardPolicy(**policy))
+    return MlirRlEnv(config=CONFIG, executor=guard)
 
 
 def _guarded_episode(func, plan, retries=2, timeout=5.0):
     """Rewards of one NO_TRANSFORMATION-scripted guarded episode."""
-    cfg = small_config(
-        max_episode_steps=48,
-        fault_tolerance=True,
-        exec_retries=retries,
-        exec_timeout_seconds=timeout,
-    )
-    env = MlirRlEnv(config=cfg)
+    env = _guarded_env(retries=retries, timeout_seconds=timeout)
     rewards = []
     with chaos(plan):
         env.reset(func)
@@ -402,6 +454,42 @@ def _guarded_episode(func, plan, retries=2, timeout=5.0):
 
 
 class TestGuardedInjection:
+    def test_provider_reset_redraws_up_to_guard_retries(self):
+        """A provider-drawn program whose baseline faults past the
+        guard's retries is redrawn, up to ``policy.retries`` times."""
+        draws = []
+
+        def provider():
+            draws.append(None)
+            return _matmul_func()
+
+        env = MlirRlEnv(
+            provider,
+            CONFIG,
+            GuardedExecutor(CachingExecutor(), GuardPolicy(retries=1)),
+        )
+        # Both attempts of the first draw's baseline fail; the redraw's
+        # baseline succeeds.
+        first_draw_fails = FaultPlan(
+            [FaultEvent("exec", 1, "error"), FaultEvent("exec", 2, "error")]
+        )
+        with chaos(first_draw_fails):
+            env.reset()
+        assert len(draws) == 2
+
+        draws.clear()
+        env = MlirRlEnv(
+            provider,
+            CONFIG,
+            GuardedExecutor(CachingExecutor(), GuardPolicy(retries=0)),
+        )
+        with (
+            chaos(FaultPlan([FaultEvent("exec", 1, "error")])),
+            pytest.raises(ExecutionFault),
+        ):
+            env.reset()
+        assert len(draws) == 1
+
     def test_timeout_with_retry_left_is_reward_identical(self):
         func = _matmul_func()
         clean, _ = _guarded_episode(func, FaultPlan())
@@ -418,21 +506,18 @@ class TestGuardedInjection:
         # is the first step's schedule evaluation.
         plan = FaultPlan([FaultEvent("exec", 2, "error")])
         rewards, env = _guarded_episode(func, plan, retries=0)
-        assert rewards[-1] == env.config.fault_penalty
+        assert rewards[-1] == FAULT_PENALTY
         assert env.executor.errors >= 1
 
     def test_fault_info_reports_cause(self):
         func = _matmul_func()
-        cfg = small_config(
-            max_episode_steps=48, fault_tolerance=True, exec_retries=0
-        )
-        env = MlirRlEnv(config=cfg)
+        env = _guarded_env(retries=0)
         plan = FaultPlan([FaultEvent("exec", 2, "timeout")])
         with chaos(plan):
             env.reset(func)
             result = env.step(EnvAction(TransformKind.NO_TRANSFORMATION))
         assert result.done
-        assert result.reward == cfg.fault_penalty
+        assert result.reward == FAULT_PENALTY
         assert "execution_fault" in result.info
         assert result.info["speedup"] == 1.0
         # The env is reusable after a faulted episode.
@@ -489,12 +574,10 @@ class TestChaosSmoke:
                 FaultEvent("write", 1, "partial_write"),
             ]
         )
-        # Worker kill: supervised rollout recovers by replay.
-        with SupervisedAsyncVecEnv(
-            2, config=CONFIG, recv_timeout=30.0, plan=plan
-        ) as supervised:
-            actual_record = _run_vec(supervised, funcs, seed=7)
-            assert supervised.telemetry()["injected_kills"] == 1
+        # Worker kill: the pool recovers by replay.
+        with AsyncVecMlirRlEnv(2, config=CONFIG, plan=plan) as pool:
+            actual_record = _run_vec(pool, funcs, seed=7)
+            assert pool.telemetry()["injected_kills"] == 1
         assert actual_record == expected_record
 
         # Execution timeout: absorbed by a retry, rewards identical.
@@ -530,13 +613,13 @@ class TestTrainingUnderChaos:
             rng = np.random.default_rng(1)
             agent = ActorCritic(CONFIG, rng, hidden_size=16)
             env = MlirRlEnv(config=CONFIG)
+            # The fault-free reference collects in-process through an
+            # equally wide VecMlirRlEnv; the chaotic run uses the pool.
             ppo_config = PPOConfig(
                 samples_per_iteration=3,
                 minibatch_size=4,
                 num_envs=2,
-                num_workers=2,
-                supervise_workers=True,
-                worker_recv_timeout=30.0,
+                num_workers=1 if plan is None else 2,
             )
             trainer = PPOTrainer(env, agent, sampler, ppo_config, seed=3)
             try:
@@ -611,10 +694,8 @@ class TestFaultPlanProperties:
         )
 
         plan = random_plan(seed, max_kills=1, horizon=6)
-        with SupervisedAsyncVecEnv(
-            2, config=CONFIG, recv_timeout=30.0, plan=plan
-        ) as supervised:
-            actual_record = _run_vec(supervised, funcs, seed=7)
+        with AsyncVecMlirRlEnv(2, config=CONFIG, plan=plan) as pool:
+            actual_record = _run_vec(pool, funcs, seed=7)
         assert actual_record == expected_record
 
         # retries=5 outlasts any schedule random_plan can produce at

@@ -1,12 +1,12 @@
-"""Fault-tolerance layer (PR 8): guards, crash-safe persistence, and the
+"""Fault-tolerance layer: guards, crash-safe persistence, and the
 dead-worker regressions.
 
 Companion to ``test_fault_injection.py`` (which drives the recovery
 paths with deterministic FaultPlans); this file covers the building
 blocks directly: GuardedExecutor retry/timeout/quarantine semantics,
 atomic writes + checksum sidecars, cache salvage, checkpoint integrity,
-the ``_recv``/``close`` dead-worker deadlock fixes, and the pool-reset
-race hardening.
+the pool's ``close`` with dead or hung workers and its receive timeout,
+and the pool-reset race hardening.
 """
 
 import json
@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.env import EnvAction, small_config
+from repro.env import EnvAction, small_config, vector
 from repro.env.environment import MlirRlEnv
 from repro.env.vector import AsyncVecMlirRlEnv, WorkerError
 from repro.fault.atomic import (
@@ -106,14 +106,6 @@ class TestGuardPolicy:
             GuardPolicy(backoff_seconds=-0.5)
         with pytest.raises(ValueError):
             GuardPolicy(quarantine_threshold=-1)
-
-    def test_env_config_validation(self):
-        with pytest.raises(ValueError):
-            small_config(exec_timeout_seconds=-1.0)
-        with pytest.raises(ValueError):
-            small_config(exec_retries=-1)
-        with pytest.raises(ValueError):
-            small_config(quarantine_threshold=-2)
 
 
 class TestGuardedExecutor:
@@ -367,22 +359,8 @@ class TestCheckpointIntegrity:
 
 
 class TestDeadWorkerRegressions:
-    """The ``_recv``/``close()`` deadlock satellite."""
-
-    def test_recv_from_killed_worker_raises_worker_error(self):
-        async_env = AsyncVecMlirRlEnv(2, config=CONFIG)
-        try:
-            async_env.reset([_matmul_func(), _matmul_func()])
-            async_env._processes[1].kill()
-            async_env._processes[1].join(timeout=5)
-            action = EnvAction(TransformKind.NO_TRANSFORMATION)
-            with pytest.raises(WorkerError, match="worker 1") as excinfo:
-                async_env.step([action, action])
-            assert excinfo.value.index == 1
-            # The pool is torn down, not deadlocked.
-            assert async_env.closed
-        finally:
-            async_env.close()
+    """``close()`` never deadlocks on a dead or hung worker, and a
+    silent worker is flagged as hung."""
 
     def test_close_with_dead_worker_does_not_hang(self):
         async_env = AsyncVecMlirRlEnv(2, config=CONFIG)
@@ -399,12 +377,13 @@ class TestDeadWorkerRegressions:
         async_env.close()
         assert not async_env._processes[0].is_alive()
 
-    def test_recv_timeout_flags_hung_worker_as_alive(self):
+    def test_recv_timeout_flags_hung_worker_as_alive(self, monkeypatch):
+        monkeypatch.setattr(vector, "RECV_TIMEOUT_SECONDS", 0.2)
         async_env = AsyncVecMlirRlEnv(1, config=CONFIG)
         try:
-            async_env._send_raw(0, ("hang", 30.0))
+            async_env._send(0, ("hang", 30.0))
             with pytest.raises(WorkerError, match="hung") as excinfo:
-                async_env._recv_raw(0, timeout=0.2)
+                async_env._recv(0)
             assert excinfo.value.alive
         finally:
             async_env.close()
@@ -457,17 +436,17 @@ class TestFaultTolerantEnv:
         assert not isinstance(env.executor, GuardedExecutor)
 
     def test_fault_tolerance_wraps_executor(self):
-        cfg = small_config(fault_tolerance=True)
-        env = MlirRlEnv(config=cfg)
-        assert isinstance(env.executor, GuardedExecutor)
+        guard = GuardedExecutor(CachingExecutor())
+        env = MlirRlEnv(config=CONFIG, executor=guard)
+        assert env.executor is guard
 
     def test_guarded_episode_matches_unguarded(self):
         func = _matmul_func()
-        cfg = small_config(
-            max_episode_steps=48, fault_tolerance=True, exec_retries=1
-        )
         plain = MlirRlEnv(config=CONFIG)
-        guarded = MlirRlEnv(config=cfg)
+        guarded = MlirRlEnv(
+            config=CONFIG,
+            executor=GuardedExecutor(CachingExecutor(), GuardPolicy(retries=1)),
+        )
         action = EnvAction(TransformKind.NO_TRANSFORMATION)
         plain.reset(func)
         guarded.reset(func)
@@ -478,8 +457,9 @@ class TestFaultTolerantEnv:
         assert actual.info["speedup"] == expected.info["speedup"]
 
     def test_set_machine_keeps_guard(self):
-        cfg = small_config(fault_tolerance=True)
-        env = MlirRlEnv(config=cfg)
+        env = MlirRlEnv(
+            config=CONFIG, executor=GuardedExecutor(CachingExecutor())
+        )
         from repro.machine.registry import spec
 
         env.set_machine("epyc-7763-64core")

@@ -139,6 +139,28 @@ class TestAsyncVecEnv:
             # Entries landed in the parent-side merge target too.
             assert async_env.executor.cache.schedule_entries > 0
 
+    def test_pool_imports_analysis_before_forking(self):
+        """Workers (and respawns) inherit repro.analysis from the pool's
+        parent instead of importing it on their first mask, while
+        ``import repro.env`` alone still leaves it unloaded."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import repro.env\n"
+            "assert 'repro.analysis' not in sys.modules\n"
+            "with repro.env.AsyncVecMlirRlEnv(1, config=repro.env.small_config()):\n"
+            "    assert 'repro.analysis' in sys.modules\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", script],
+            check=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+
     def test_close_is_idempotent(self):
         async_env = AsyncVecMlirRlEnv(1, config=CONFIG)
         async_env.reset([_matmul_func()])
