@@ -1,4 +1,4 @@
-"""Paired, interleaved timing for the benches' same-box ratios.
+"""What the benches share: paired timing and one scripted policy.
 
 A ratio of two single samples moves with whatever else the machine is
 doing while one of them runs: a stalled vCPU or a collection of an
@@ -7,6 +7,9 @@ takes the two variants in adjacent pairs, alternates which one goes
 first, runs every sample for at least :data:`MIN_SAMPLE_SECONDS` and
 reports medians, so one disturbed sample moves the result by one rank
 at most.
+
+:func:`random_legal_action` is the scripted policy of the env-stepping
+benches: given the same seed, every bench replays the same actions.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from repro.env import EnvAction, EnvConfig, Observation
+from repro.transforms import TransformKind
 
 #: Shortest sample: long enough that the timer and a stray interrupt
 #: stay small against it.
@@ -76,3 +82,31 @@ def paired_timing(
         a_seconds=float(np.median(a_samples)),
         b_seconds=float(np.median(b_samples)),
     )
+
+
+#: Transformations whose action carries one tile-size index per loop.
+_TILED = (
+    TransformKind.TILING,
+    TransformKind.TILED_PARALLELIZATION,
+    TransformKind.TILED_FUSION,
+)
+
+
+def random_legal_action(
+    observation: Observation, rng: np.random.Generator, config: EnvConfig
+) -> EnvAction:
+    """A uniformly drawn legal transformation with random parameters:
+    a tile-size index per loop, or a legal interchange pointer."""
+    mask = observation.mask
+    legal = mask.legal_transformations()
+    kind = legal[rng.integers(len(legal))]
+    if kind in _TILED:
+        indices = tuple(
+            int(rng.integers(config.num_tile_sizes))
+            for _ in range(config.max_loops)
+        )
+        return EnvAction(kind, tile_indices=indices)
+    if kind is TransformKind.INTERCHANGE:
+        choices = np.flatnonzero(mask.interchange)
+        return EnvAction(kind, pointer_loop=int(rng.choice(choices)))
+    return EnvAction(kind)

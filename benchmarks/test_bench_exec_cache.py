@@ -12,11 +12,11 @@ once the cache is warm.
 
 import numpy as np
 
-from repro.env import EnvAction, MlirRlEnv, small_config
+from harness import random_legal_action
+from repro.env import MlirRlEnv, small_config
 from repro.evaluation import write_json
 from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.machine import CachingExecutor
-from repro.transforms import TransformKind
 
 
 def _suite():
@@ -38,27 +38,6 @@ def _suite():
     return [mm, chain]
 
 
-def _policy_actions(env, rng):
-    """A cheap scripted policy: sample any legal action from the mask."""
-    mask = env._observe().mask  # the env's own mask, as the agent sees it
-    legal = mask.legal_transformations()
-    kind = legal[rng.integers(len(legal))]
-    if kind in (
-        TransformKind.TILING,
-        TransformKind.TILED_PARALLELIZATION,
-        TransformKind.TILED_FUSION,
-    ):
-        indices = tuple(
-            int(rng.integers(env.config.num_tile_sizes))
-            for _ in range(env.config.max_loops)
-        )
-        return EnvAction(kind, tile_indices=indices)
-    if kind is TransformKind.INTERCHANGE:
-        choices = np.flatnonzero(mask.interchange)
-        return EnvAction(kind, pointer_loop=int(rng.choice(choices)))
-    return EnvAction(kind)
-
-
 def _run_episodes(env, factories, episodes, seed):
     """Per-episode cost-model evaluation counts (nest-level misses)."""
     rng = np.random.default_rng(seed)
@@ -66,11 +45,12 @@ def _run_episodes(env, factories, episodes, seed):
     for index in range(episodes):
         func = factories[index % len(factories)]()
         before = env.executor.stats.evaluations
-        env.reset(func)
+        observation = env.reset(func)
         done = False
         while not done:
-            result = env.step(_policy_actions(env, rng))
+            result = env.step(random_legal_action(observation, rng, env.config))
             done = result.done
+            observation = result.observation
         per_episode.append(env.executor.stats.evaluations - before)
     return per_episode
 

@@ -14,13 +14,12 @@ prefix, so a modest constant tax, not a restart.
 
 import numpy as np
 
-from harness import paired_timing
-from repro.env import EnvAction, small_config
+from harness import paired_timing, random_legal_action
+from repro.env import small_config
 from repro.env.vector import AsyncVecMlirRlEnv
 from repro.evaluation import write_json
 from repro.fault import FaultEvent, FaultPlan
 from repro.ir import FuncOp, add, empty, matmul, relu, tensor
-from repro.transforms import TransformKind
 
 CONFIG = small_config(max_episode_steps=48)
 #: Scripted rollout rounds per sweep: enough to amortize the one-off
@@ -44,26 +43,6 @@ def _suite():
     return [mm, chain]
 
 
-def _scripted_action(observation, rng, config):
-    mask = observation.mask
-    legal = mask.legal_transformations()
-    kind = legal[rng.integers(len(legal))]
-    if kind in (
-        TransformKind.TILING,
-        TransformKind.TILED_PARALLELIZATION,
-        TransformKind.TILED_FUSION,
-    ):
-        indices = tuple(
-            int(rng.integers(config.num_tile_sizes))
-            for _ in range(config.max_loops)
-        )
-        return EnvAction(kind, tile_indices=indices)
-    if kind is TransformKind.INTERCHANGE:
-        choices = np.flatnonzero(mask.interchange)
-        return EnvAction(kind, pointer_loop=int(rng.choice(choices)))
-    return EnvAction(kind)
-
-
 def _sweep(vec_env, funcs, rounds, seed):
     """Scripted rollout rounds; returns the per-step reward record."""
     record = []
@@ -77,7 +56,7 @@ def _sweep(vec_env, funcs, rounds, seed):
             actions = [None] * vec_env.num_envs
             for index in range(len(funcs)):
                 if vec_obs.active[index]:
-                    actions[index] = _scripted_action(
+                    actions[index] = random_legal_action(
                         vec_obs.observation_of(index),
                         rngs[index],
                         vec_env.config,

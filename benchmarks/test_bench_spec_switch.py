@@ -22,11 +22,11 @@ import time
 
 import numpy as np
 
-from repro.env import EnvAction, EnvConfig, MlirRlEnv
+from harness import random_legal_action
+from repro.env import EnvConfig, MlirRlEnv
 from repro.evaluation import write_json
 from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.machine import CachingExecutor, spec
-from repro.transforms import TransformKind
 
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
 EPISODES = 12
@@ -59,26 +59,6 @@ def _suite():
     return [mm(), chain()]
 
 
-def _policy_action(env, observation, rng):
-    mask = observation.mask
-    legal = mask.legal_transformations()
-    kind = legal[rng.integers(len(legal))]
-    if kind in (
-        TransformKind.TILING,
-        TransformKind.TILED_PARALLELIZATION,
-        TransformKind.TILED_FUSION,
-    ):
-        indices = tuple(
-            int(rng.integers(env.config.num_tile_sizes))
-            for _ in range(env.config.max_loops)
-        )
-        return EnvAction(kind, tile_indices=indices)
-    if kind is TransformKind.INTERCHANGE:
-        choices = np.flatnonzero(mask.interchange)
-        return EnvAction(kind, pointer_loop=int(rng.choice(choices)))
-    return EnvAction(kind)
-
-
 def _sweep(env, funcs, seed, machines=None):
     """Scripted episodes; ``machines`` retargets the env per episode."""
     rng = np.random.default_rng(seed)
@@ -89,7 +69,7 @@ def _sweep(env, funcs, seed, machines=None):
         observation = env.reset(funcs[episode % len(funcs)])
         done = False
         while not done:
-            result = env.step(_policy_action(env, observation, rng))
+            result = env.step(random_legal_action(observation, rng, env.config))
             steps += 1
             done = result.done
             observation = result.observation

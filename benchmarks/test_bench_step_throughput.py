@@ -9,21 +9,21 @@ bit-identical between the two.
 
 Both paths drive the same scripted policy with the same seed, so they
 take the exact same actions; the only difference is how much work each
-step re-does.  Timing takes the best of several rounds (standard
-practice — the best round is the least-noise estimate on a shared CI
-box).  Set ``REPRO_BENCH_QUICK=1`` to shrink the sweep for smoke runs.
+step re-does.  ``speedup`` is the median over interleaved seed-path/
+fast-path pairs of sweeps (:func:`harness.paired_timing`), written with
+its IQR.  Set ``REPRO_BENCH_QUICK=1`` to take fewer pairs for smoke
+runs.
 """
 
 import os
-import time
 
 import numpy as np
 
-from repro.env import EnvAction, EnvConfig, MlirRlEnv
+from harness import paired_timing, random_legal_action
+from repro.env import EnvConfig, MlirRlEnv
 from repro.evaluation import write_json
 from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.machine import CachingExecutor, ExecutionCache
-from repro.transforms import TransformKind
 
 #: Quick mode (the CI smoke job) reduces timing repetitions only — the
 #: sweep itself is identical, so all deterministic counters (cache
@@ -31,7 +31,7 @@ from repro.transforms import TransformKind
 #: full-mode JSONs and remain comparable by compare_results.py.
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
 EPISODES = 24
-ROUNDS = 1 if QUICK else 3
+PAIRS = 5 if QUICK else 9
 
 #: Paper-scale static sizes (N=12, L=14, D=12) — the observation width
 #: the real agent sees, hence an honest measure of ``_observe`` cost.
@@ -57,26 +57,6 @@ def _suite():
     return [mm(), chain()]
 
 
-def _policy_action(env, observation, rng):
-    mask = observation.mask
-    legal = mask.legal_transformations()
-    kind = legal[rng.integers(len(legal))]
-    if kind in (
-        TransformKind.TILING,
-        TransformKind.TILED_PARALLELIZATION,
-        TransformKind.TILED_FUSION,
-    ):
-        indices = tuple(
-            int(rng.integers(env.config.num_tile_sizes))
-            for _ in range(env.config.max_loops)
-        )
-        return EnvAction(kind, tile_indices=indices)
-    if kind is TransformKind.INTERCHANGE:
-        choices = np.flatnonzero(mask.interchange)
-        return EnvAction(kind, pointer_loop=int(rng.choice(choices)))
-    return EnvAction(kind)
-
-
 def _sweep(env, funcs, seed):
     """Run the scripted episodes; returns (steps, rewards)."""
     rng = np.random.default_rng(seed)
@@ -86,7 +66,7 @@ def _sweep(env, funcs, seed):
         observation = env.reset(funcs[episode % len(funcs)])
         done = False
         while not done:
-            result = env.step(_policy_action(env, observation, rng))
+            result = env.step(random_legal_action(observation, rng, env.config))
             rewards.append(result.reward)
             steps += 1
             done = result.done
@@ -116,7 +96,7 @@ def test_step_throughput_speedup(benchmark, results_dir):
     _sweep(seed_path, funcs, seed=42)
 
     # Deterministic counters over exactly ONE warm sweep, independent of
-    # ROUNDS — what compare_results.py tracks across quick/full runs.
+    # PAIRS — what compare_results.py tracks across quick/full runs.
     before = dict(fast.executor.stats.snapshot())
     mask_before = (fast._mask_cache.hits, fast._mask_cache.misses)
     _sweep(fast, funcs, seed=42)
@@ -137,40 +117,50 @@ def test_step_throughput_speedup(benchmark, results_dir):
         "misses": fast._mask_cache.misses - mask_before[1],
     }
 
-    def timed_round():
-        start = time.perf_counter()
-        fast_steps, fast_rewards = _sweep(fast, funcs, seed=42)
-        mid = time.perf_counter()
-        seed_steps, seed_rewards = _sweep(seed_path, funcs, seed=42)
-        end = time.perf_counter()
-        return (
-            fast_steps / (mid - start),
-            seed_steps / (end - mid),
-            fast_rewards,
-            seed_rewards,
-        )
+    # Every timed sweep's rewards, per path: the fast path must not
+    # alter a single one.
+    rewards: dict[str, list] = {"seed": [], "fast": []}
 
-    rounds = benchmark.pedantic(
-        lambda: [timed_round() for _ in range(ROUNDS)], rounds=1, iterations=1
+    def sweep(name, env):
+        def run():
+            rewards[name].append(_sweep(env, funcs, seed=42)[1])
+
+        return run
+
+    timing = benchmark.pedantic(
+        lambda: paired_timing(
+            sweep("seed", seed_path), sweep("fast", fast), pairs=PAIRS
+        ),
+        rounds=1,
+        iterations=1,
     )
-    fast_sps = max(r[0] for r in rounds)
-    seed_sps = max(r[1] for r in rounds)
-    speedup = fast_sps / seed_sps
-    rewards_identical = all(r[2] == r[3] for r in rounds)
+    steps = len(rewards["fast"][0])
+    seed_sps = steps / timing.a_seconds
+    fast_sps = steps / timing.b_seconds
+    # seed-path seconds over fast-path seconds per sweep: the same
+    # steps, so this is the fast path's throughput multiple
+    speedup = timing.ratio
+    rewards_identical = all(
+        record == rewards["fast"][0]
+        for record in rewards["seed"] + rewards["fast"]
+    )
     result = {
         "config": "paper-size features (N=12, L=14, D=12)",
         "episodes_per_sweep": EPISODES,
-        "steps_per_sweep": len(rounds[0][2]),
+        "steps_per_sweep": steps,
+        "pairs": PAIRS,
         "seed_path_steps_per_second": seed_sps,
         "fast_path_steps_per_second": fast_sps,
         "speedup": speedup,
+        "speedup_iqr": timing.ratio_iqr,
         "rewards_identical": rewards_identical,
         "warm_sweep_cache": warm_cache,
         "warm_sweep_mask_cache": mask_cache,
     }
     print(
         f"\nstep throughput: {seed_sps:.0f} steps/s (seed path) -> "
-        f"{fast_sps:.0f} steps/s (fast path), {speedup:.2f}x, "
+        f"{fast_sps:.0f} steps/s (fast path), {speedup:.2f}x "
+        f"(median of {PAIRS} pairs, IQR {timing.ratio_iqr:.2f}), "
         f"rewards identical: {rewards_identical}"
     )
     write_json(result, results_dir / "step_throughput.json")

@@ -1,10 +1,24 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Packaging for the MLIR RL reproduction.
 
-The project metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` works via setuptools' legacy editable-install path on
-offline machines where PEP 517 build isolation cannot fetch ``wheel``.
+``pip install -e .`` installs the ``repro`` package from ``src/``; NumPy
+is its one runtime dependency.  The tests and benchmarks need the
+packages listed in ``requirements-ci.txt``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"', INIT.read_text(), re.MULTILINE
+).group(1)
+
+setup(
+    name="mlir-rl-repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

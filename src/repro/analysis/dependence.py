@@ -85,11 +85,6 @@ class Dependence:
             d for d, direction in enumerate(self.directions) if direction != EQ
         )
 
-    @property
-    def is_uniform(self) -> bool:
-        """True when every component has a known constant distance."""
-        return all(component is not None for component in self.distance)
-
     def render(self) -> str:
         parts = []
         for direction, dist in zip(self.directions, self.distance):
@@ -129,10 +124,6 @@ class OpDependences:
     def parallelizable_dims(self) -> frozenset[int]:
         """Dimensions safe to execute in parallel: carrying no dependence."""
         return frozenset(range(self.num_loops)) - self.carried
-
-    def carried_at_positions(self, order: Sequence[int]) -> list[bool]:
-        """``carried`` re-indexed by loop position for a given dim order."""
-        return [dim in self.carried for dim in order]
 
     def fingerprint(self) -> tuple:
         """Hashable summary for invariance tests.

@@ -283,13 +283,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             )
             return 1
         config = config.with_transforms(*extra)
-    if args.action_space == "flat" and (args.num_envs > 1 or args.workers > 1):
-        print(
-            "--action-space flat collects sequentially and does not "
-            "support --num-envs/--workers > 1; drop them or use "
-            "--action-space hierarchical"
-        )
-        return 1
     rng = np.random.default_rng(args.seed)
     backend = get_backend(args.action_space, config)
     agent = backend.build_agent(rng, hidden_size=args.hidden)

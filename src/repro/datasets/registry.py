@@ -1,15 +1,11 @@
-"""Benchmark and dataset registry.
+"""Training dataset registry.
 
-One place that names every suite the paper uses, for the evaluation
-harness, the examples and the tests:
-
-* ``dnn-operators`` — Fig. 5 single-operator benchmarks;
-* ``dnn-models`` — Table III model benchmarks;
-* ``lqcd-applications`` — Table IV applications;
-* ``training`` — the §VI training mixture (1135 singles + sequences +
-  691 LQCD nests ≈ 3959 samples at full scale), plus the randomly
-  *generated* corpora from :mod:`.generator` (``kind="generated"`` /
-  ``"mixed"``).
+The §VI training mixture (1135 singles + sequences + 691 LQCD nests ≈
+3959 samples at full scale), plus the randomly *generated* corpora from
+:mod:`.generator` (``kind="generated"`` / ``"mixed"``).  The evaluation
+suites live with their builders: Fig. 5 operators in :mod:`.dnn_ops`,
+Table III models in :mod:`.models`, Table IV applications in
+:mod:`.lqcd`.
 
 Samplers returned here are plain picklable objects (no closures), so
 they can cross the ``AsyncVecMlirRlEnv`` fork boundary, and fixed-list
@@ -25,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ..ir.ops import FuncOp, clone_func
-from . import dnn_ops, lqcd, models, sequences
+from . import dnn_ops, lqcd, sequences
 from .generator import (
     DEFAULT_CURRICULUM,
     FULL_STAGE,
@@ -192,18 +188,3 @@ def training_sampler(
         generated,
         generated_fraction,
     )
-
-
-def operator_benchmarks() -> list[dnn_ops.EvaluationCase]:
-    """Fig. 5 benchmarks."""
-    return dnn_ops.evaluation_suite()
-
-
-def model_benchmarks() -> list[tuple[str, Callable[[], FuncOp]]]:
-    """Table III benchmarks."""
-    return list(models.MODELS)
-
-
-def lqcd_benchmarks() -> list[tuple[str, int, Callable[[], FuncOp]]]:
-    """Table IV benchmarks: (name, S, factory)."""
-    return list(lqcd.APPLICATIONS)

@@ -33,7 +33,7 @@ from .features import (
 from .history import ActionHistory
 from .masking import ActionMask, MaskCache, compute_mask, mask_cache_key
 from .reward import RewardModel, RewardState
-from .spaces import Box, DictSpace, Discrete, MultiDiscrete, Space
+from .spaces import Box, Discrete, MultiDiscrete, Space
 from .vector import (
     AsyncVecMlirRlEnv,
     VecMlirRlEnv,
@@ -48,7 +48,6 @@ __all__ = [
     "mask_cache_key",
     "ActionMask",
     "Box",
-    "DictSpace",
     "Discrete",
     "EnvAction",
     "EnvConfig",

@@ -49,12 +49,7 @@ from ..transforms.scheduled_op import ScheduledOp, TransformError
 from ..machine.spec import MachineSpec
 from .actions import EnvAction, decode_action
 from .config import EnvConfig, PAPER_CONFIG, RewardMode
-from .features import (
-    feature_size,
-    machine_feature_vector,
-    op_features,
-    zero_features,
-)
+from .features import machine_feature_vector, op_features, zero_features
 from .history import ActionHistory
 from .masking import ActionMask, MaskCache, compute_mask
 from .reward import RewardModel, RewardState
@@ -67,11 +62,16 @@ FAULT_PENALTY = -1.0
 
 @dataclass
 class Observation:
-    """What the agent sees each step."""
+    """What the agent sees each step.
+
+    ``num_loops`` is the current op's loop count: the flat agent needs
+    it to turn a table entry into a record.
+    """
 
     consumer: np.ndarray
     producer: np.ndarray
     mask: ActionMask
+    num_loops: int
 
 
 @dataclass
@@ -126,8 +126,6 @@ class MlirRlEnv:
         #: bumped on every applied transform; keys the info-probe memo
         self._schedule_version = 0
         self._probe_memo: tuple[int, float] | None = None
-        #: real executor parked while a cost model is substituted
-        self._real_executor: Executor | None = None
 
     def _guard_faults(self) -> None:
         """Fault tolerance follows the executor: on a
@@ -215,37 +213,6 @@ class MlirRlEnv:
         self._machine_vec = machine_feature_vector(self.config, spec)
         self._probe_memo = None
 
-    def set_cost_model(self, model) -> None:
-        """Reward rollouts from a learned cost model instead of the
-        machine model (``model=None`` restores real evaluation).
-
-        Swaps the executor for a
-        :class:`~repro.machine.dataset.CostModelExecutor` targeting the
-        current spec; the real executor is parked and reinstated on
-        ``set_cost_model(None)``.  Rewards become *predictions* — use
-        for cheap rollouts/lookahead only, and always re-measure
-        reported schedules with a real executor.  Like
-        :meth:`set_machine`, call between episodes, not mid-episode.
-        """
-        if model is None:
-            if self._real_executor is not None:
-                self.executor = self._real_executor
-                self._real_executor = None
-        else:
-            from ..machine.dataset import CostModelExecutor
-
-            if self._real_executor is None:
-                self._real_executor = self.executor
-            self.executor = CostModelExecutor(
-                model,
-                spec=self._real_executor.spec,
-                fallback=self._real_executor,
-            )
-        self.reward_model = RewardModel(
-            self.executor, self.config.reward_mode
-        )
-        self._probe_memo = None
-
     @property
     def current_op(self) -> LinalgOp | None:
         return self._current
@@ -308,6 +275,7 @@ class MlirRlEnv:
             ),
             producer=producer_vec,
             mask=mask,
+            num_loops=schedule.num_loops,
         )
 
     # -- traversal ---------------------------------------------------------------
@@ -494,9 +462,6 @@ class MlirRlEnv:
         return decode_action(action, schedule.num_loops, self.config)
 
     # -- conveniences --------------------------------------------------------------
-
-    def observation_size(self) -> int:
-        return feature_size(self.config)
 
     def final_speedup(self) -> float:
         """Speedup of the fully-scheduled function over its baseline."""

@@ -8,8 +8,7 @@ self-contained without an external gym dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,23 +76,4 @@ class Box(Space):
             return False
         return bool(
             np.all(value >= self.low - 1e-6) and np.all(value <= self.high + 1e-6)
-        )
-
-
-@dataclass(frozen=True)
-class DictSpace(Space):
-    """A dictionary of named subspaces."""
-
-    spaces: Mapping[str, Space] = field(default_factory=dict)
-
-    def sample(self, rng: np.random.Generator) -> dict[str, object]:
-        return {name: space.sample(rng) for name, space in self.spaces.items()}
-
-    def contains(self, value: object) -> bool:
-        if not isinstance(value, Mapping):
-            return False
-        if set(value.keys()) != set(self.spaces.keys()):
-            return False
-        return all(
-            self.spaces[name].contains(value[name]) for name in self.spaces
         )

@@ -18,6 +18,7 @@ bit-equivalent to N sequential single-env rollouts (see
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -43,14 +44,16 @@ if TYPE_CHECKING:
 class VecObservation:
     """Stacked observations of all member environments.
 
-    Finished environments contribute zero rows; ``masks[i]`` is ``None``
-    for them.  ``active`` marks environments still running.
+    Finished environments contribute zero rows and loop counts;
+    ``masks[i]`` is ``None`` for them.  ``active`` marks environments
+    still running.
     """
 
     consumer: np.ndarray                  # (B, feature)
     producer: np.ndarray                  # (B, feature)
     masks: list[ActionMask | None]
     active: np.ndarray                    # (B,) bool
+    num_loops: np.ndarray                 # (B,) int
 
     def observation_of(self, index: int) -> Observation | None:
         """The per-env view of slot ``index`` (None when finished)."""
@@ -60,6 +63,7 @@ class VecObservation:
             consumer=self.consumer[index],
             producer=self.producer[index],
             mask=self.masks[index],
+            num_loops=int(self.num_loops[index]),
         )
 
 
@@ -94,6 +98,7 @@ class _VectorEnvBase:
         producer = np.zeros((self.num_envs, self._feature))
         masks: list[ActionMask | None] = []
         active = np.zeros(self.num_envs, dtype=bool)
+        num_loops = np.zeros(self.num_envs, dtype=np.int64)
         for index, observation in enumerate(self._observations):
             if observation is None:
                 masks.append(None)
@@ -102,7 +107,8 @@ class _VectorEnvBase:
             producer[index] = observation.producer
             masks.append(observation.mask)
             active[index] = True
-        return VecObservation(consumer, producer, masks, active)
+            num_loops[index] = observation.num_loops
+        return VecObservation(consumer, producer, masks, active, num_loops)
 
     def active_indices(self) -> list[int]:
         """Indices of environments whose episodes are still running."""
@@ -111,6 +117,22 @@ class _VectorEnvBase:
             for index, observation in enumerate(self._observations)
             if observation is not None
         ]
+
+    def _reset_slots(
+        self, funcs: Sequence[FuncOp | None] | None
+    ) -> Sequence[FuncOp | None]:
+        """The functions a reset starts, one per slot from the first
+        (every slot draws from the provider when ``funcs`` is None).
+        Raises when there are more functions than slots; otherwise marks
+        every slot idle until its episode starts."""
+        if funcs is None:
+            funcs = [None] * self.num_envs
+        if len(funcs) > self.num_envs:
+            raise ValueError(
+                f"{len(funcs)} functions for {self.num_envs} environments"
+            )
+        self._observations = [None] * self.num_envs
+        return funcs
 
     def _stepped_slots(self, actions: Sequence[EnvAction | None]) -> list[int]:
         """The slots ``actions`` steps: one action per running slot,
@@ -182,21 +204,15 @@ class VecMlirRlEnv(_VectorEnvBase):
     def reset(
         self, funcs: Sequence[FuncOp | None] | None = None
     ) -> VecObservation:
-        """Start a new episode in every slot.
+        """Start new episodes; slots beyond ``len(funcs)`` stay idle.
 
-        ``funcs`` gives one function per environment (or None entries to
-        draw from the benchmark provider); omitting it draws every
-        episode from the provider.
+        ``funcs`` gives one function per started slot (or None entries
+        to draw from the benchmark provider); omitting it draws every
+        slot's episode from the provider.
         """
-        if funcs is None:
-            funcs = [None] * self.num_envs
-        if len(funcs) != self.num_envs:
-            raise ValueError(
-                f"{len(funcs)} functions for {self.num_envs} environments"
-            )
-        self._observations = [
-            env.reset(func) for env, func in zip(self.envs, funcs)
-        ]
+        funcs = self._reset_slots(funcs)
+        for index, func in enumerate(funcs):
+            self._observations[index] = self.envs[index].reset(func)
         return self._stack()
 
     def step(self, actions: Sequence[EnvAction | None]) -> VecStepResult:
@@ -217,6 +233,19 @@ class VecMlirRlEnv(_VectorEnvBase):
         """Final speedup of slot ``index`` (see MlirRlEnv.final_speedup)."""
         return self.envs[index].final_speedup()
 
+    def sync_timing_caches(self) -> int:
+        """Nothing to exchange: every slot times on the one shared
+        executor.  Returns 0, like a degraded pool."""
+        return 0
+
+    #: in-process slots hold no processes or pipes, so ``close`` has
+    #: nothing to shut; both exist so callers treat either vector env
+    #: alike
+    closed = False
+
+    def close(self) -> None:
+        """No-op (see :attr:`closed`)."""
+
 
 # ---------------------------------------------------------------------------
 # Multiprocessing vector environment
@@ -226,14 +255,21 @@ class VecMlirRlEnv(_VectorEnvBase):
 def _pack_observation(observation: Observation | None):
     if observation is None:
         return None
-    return (observation.consumer, observation.producer, observation.mask)
+    return (
+        observation.consumer,
+        observation.producer,
+        observation.mask,
+        observation.num_loops,
+    )
 
 
 def _unpack_observation(payload) -> Observation | None:
     if payload is None:
         return None
-    consumer, producer, mask = payload
-    return Observation(consumer=consumer, producer=producer, mask=mask)
+    consumer, producer, mask, num_loops = payload
+    return Observation(
+        consumer=consumer, producer=producer, mask=mask, num_loops=num_loops
+    )
 
 
 class WorkerError(RuntimeError):
@@ -270,15 +306,14 @@ def _async_env_worker(
     provably disjoint streams — with plain offsets, pools seeded 0 and
     1 ran workers 1.. and 0.. on the same RNG states.
 
-    ``machine`` is the spec the parent resolved from ``config.machine``
-    — shipped as a value (frozen, picklable) rather than re-resolved
-    here, so machines registered at runtime survive spawn-started
-    workers whose fresh interpreter only has the built-in registry.
+    ``machine`` is the spec the parent executor times on — shipped as a
+    value (frozen, picklable) rather than re-resolved here, so machines
+    registered at runtime survive spawn-started workers whose fresh
+    interpreter only has the built-in registry.
     ``policy`` is the parent executor's guard policy: a guarded parent
     gets guarded workers.  ``warm_entries`` seed a respawned worker's
     timing cache (see :meth:`AsyncVecMlirRlEnv._recover`).
     """
-    import gc
     import random
 
     # A forked worker inherits the parent's objects but never needs to
@@ -359,6 +394,32 @@ def _async_env_worker(
         pass
 
 
+#: glibc's ``malloc_trim``, looked up on first use; False where the C
+#: library has none
+_malloc_trim = None
+
+
+def _trim_heap() -> None:
+    """Return the C allocator's free pages to the OS before a fork.
+
+    A fork copies the page-table entry of every resident page, freed
+    but retained ones too, and a killed worker's exit tears them all
+    down again, so both slow down as the parent's heap grows.  glibc
+    keeps the pages of freed numpy buffers resident; ``malloc_trim``
+    hands them back.  Elsewhere this is a no-op.
+    """
+    global _malloc_trim
+    if _malloc_trim is None:
+        import ctypes
+
+        try:
+            _malloc_trim = ctypes.CDLL(None).malloc_trim
+        except (AttributeError, OSError):
+            _malloc_trim = False
+    if _malloc_trim:
+        _malloc_trim(0)
+
+
 #: Seconds a worker may stay silent before the pool treats it as hung
 #: and respawns it.
 RECV_TIMEOUT_SECONDS = 60.0
@@ -389,9 +450,6 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
     Differences from the in-process vector env, by necessity of the
     process boundary:
 
-    * ``reset`` accepts *fewer* functions than slots — the surplus
-      workers sit the batch out (needed by collectors whose last batch
-      is smaller than the pool);
     * each worker owns a private timing cache;
       :meth:`sync_timing_caches` exchanges newly computed entries
       between all workers (and the parent-side ``executor``), which is
@@ -455,19 +513,19 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         from .. import analysis  # noqa: F401
 
         self.config = config
-        #: parent-side merge target for :meth:`sync_timing_caches`, and
-        #: the executor degraded slots run on
+        #: parent-side merge target for :meth:`sync_timing_caches`, the
+        #: executor degraded slots run on, and the machine every worker
+        #: times on (its spec, like an in-process env's)
         self.executor = executor or CachingExecutor(config.machine_spec())
         if start_method is None:
             methods = mp.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
         #: respawn ingredients: a replacement worker is seeded by the
         #: *original* SeedSequence spawn key (deterministic replay) and
-        #: starts on the *current* machine spec.
+        #: starts on the executor's *current* machine spec.
         self._context = mp.get_context(start_method)
         self._provider = benchmark_provider
         self._worker_seeds = np.random.SeedSequence(seed).spawn(num_envs)
-        self._machine = config.machine_spec()
         #: the guard policy of a GuardedExecutor parent, for its workers
         self._policy = getattr(self.executor, "policy", None)
         #: None falls back to the process-wide installed plan (the
@@ -485,6 +543,11 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         self._closed = False
         self._parents = []
         self._processes = []
+        if self._context.get_start_method() == "fork":
+            # Dead cycles left by earlier work would be inherited by
+            # every worker; collect them once so _trim_heap can return
+            # their pages before the first fork.
+            gc.collect()
         for index in range(num_envs):
             parent_conn, process = self._spawn_worker(index)
             self._parents.append(parent_conn)
@@ -495,6 +558,8 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
     def _spawn_worker(self, index: int, warm_entries: Sequence = ()):
         """Start worker ``index`` with ``warm_entries`` in its timing
         cache; returns (parent pipe end, process)."""
+        if self._context.get_start_method() == "fork":
+            _trim_heap()
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_async_env_worker,
@@ -503,7 +568,7 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
                 self.config,
                 self._provider,
                 self._worker_seeds[index],
-                self._machine,
+                self.executor.spec,
                 self._policy,
                 warm_entries,
             ),
@@ -710,8 +775,6 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         local: list[MlirRlEnv] = []
         for log in self._logs:
             env = MlirRlEnv(self._provider, self.config, self.executor)
-            if self._machine != self.config.machine_spec():
-                env.set_machine(self._machine, executor=self.executor)
             if log is not None:
                 env.reset(log.func)
                 for action in log.actions:
@@ -725,13 +788,7 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         self, funcs: Sequence[FuncOp | None] | None = None
     ) -> VecObservation:
         """Start new episodes; slots beyond ``len(funcs)`` stay idle."""
-        if funcs is None:
-            funcs = [None] * self.num_envs
-        if len(funcs) > self.num_envs:
-            raise ValueError(
-                f"{len(funcs)} functions for {self.num_envs} environments"
-            )
-        self._observations = [None] * self.num_envs
+        funcs = self._reset_slots(funcs)
         for index, func in enumerate(funcs):
             # the old episode needs no replay once a new reset is in
             # flight, so a recovery before its reply only burns draws.
@@ -804,9 +861,8 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         from ..machine.registry import spec as resolve_machine
 
         spec = resolve_machine(spec)
-        # Record first: a worker respawned (or a slot degraded) during
+        # Retarget first: a worker respawned (or a slot degraded) during
         # this call must already start on the new machine.
-        self._machine = spec
         self.executor = retargeted_executor(self.executor, spec)
         message = ("set_machine", spec)
         for index in range(self.num_envs):

@@ -15,7 +15,6 @@ from .atomic import (
     checksum_path,
     finalize_atomic,
     verify_checksum,
-    write_checksum,
 )
 from .guard import (
     ExecutionFault,
@@ -59,5 +58,4 @@ __all__ = [
     "install_plan",
     "random_plan",
     "verify_checksum",
-    "write_checksum",
 ]

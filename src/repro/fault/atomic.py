@@ -116,19 +116,6 @@ def finalize_atomic(
     return path
 
 
-def write_checksum(path: Path | str) -> Path:
-    """Record ``path``'s current content digest in its sidecar.
-
-    For writers that produce the file through another API (np.savez)
-    before the atomic rename: compute the digest of the finished bytes,
-    then rename; an injected truncation between the two is detected.
-    """
-    path = Path(path)
-    sidecar = checksum_path(path)
-    sidecar.write_text(_digest(path.read_bytes()) + "\n")
-    return sidecar
-
-
 def verify_checksum(path: Path | str) -> bool:
     """Check ``path`` against its sidecar.
 

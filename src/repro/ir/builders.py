@@ -60,11 +60,6 @@ def _mac_body(num_args: int = 3) -> Body:
     )
 
 
-def _max_body() -> Body:
-    """out = max(out, in) — max-pooling body."""
-    return body_from_ops(2, [(ArithKind.MAXF, (0, 1))])
-
-
 def _add_body() -> Body:
     """out = in0 + in1."""
     return body_from_ops(3, [(ArithKind.ADDF, (0, 1))])
@@ -95,10 +90,6 @@ def _sigmoid_body() -> Body:
 
 def _exp_body() -> Body:
     return body_from_ops(2, [(ArithKind.EXP, (0,))])
-
-
-def _div_body() -> Body:
-    return body_from_ops(3, [(ArithKind.DIVF, (0, 1))])
 
 
 def _mul_body() -> Body:

@@ -19,10 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .affine import AffineMap
-from .types import ElementType, TensorType
+from .types import TensorType
 
 
 class IRError(ValueError):
@@ -194,9 +194,6 @@ class Body:
                 continue
             total += expensive.get(op.kind, 1)
         return total
-
-    def has_kind(self, kind: ArithKind) -> bool:
-        return any(op.kind == kind for op in self.ops)
 
     def arith_uops_per_point(self) -> float:
         """Arithmetic micro-ops per point, with mul+add fused to one FMA.
@@ -483,8 +480,3 @@ class ModuleOp:
             raise IRError(f"duplicate function names in module: {names}")
         for func in self.functions:
             func.verify_ssa()
-
-
-def operand_element_types(op: LinalgOp) -> Iterable[ElementType]:
-    for operand in op.operands:
-        yield operand.type.element

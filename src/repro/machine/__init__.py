@@ -12,7 +12,6 @@ from .dataset import (
     FEATURE_SIZE,
     FEATURE_VERSION,
     CostDataset,
-    CostModelExecutor,
     RecordingEvaluator,
     ScheduleCostEvaluator,
     build_corpus,
@@ -71,7 +70,6 @@ __all__ = [
     "CachingExecutor",
     "COMPILED_DISPATCH_SECONDS",
     "CostDataset",
-    "CostModelExecutor",
     "DEFAULT_MACHINE",
     "FEATURE_SIZE",
     "FEATURE_VERSION",

@@ -58,10 +58,6 @@ class SetAssociativeCache:
     def miss_bytes(self) -> int:
         return self.misses * self.line_bytes
 
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
 
 @dataclass
 class CacheHierarchy:

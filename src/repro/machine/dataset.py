@@ -5,8 +5,8 @@ already accumulates exactly what a learned cost model trains on: its
 keys are identity-free (machine spec, structural function fingerprint,
 whole-function schedule state) tuples and its values the measured
 whole-function timings.  This module turns those entries into a
-fixed-layout numeric dataset and provides the two consumers of a
-trained model:
+fixed-layout numeric dataset and provides the consumer of a trained
+model:
 
 * :func:`sample_features` — the deterministic feature pipeline: a
   machine block (:meth:`~repro.machine.spec.MachineSpec.features`, the
@@ -25,17 +25,13 @@ trained model:
 * :class:`ScheduleCostEvaluator` — batched candidate scoring for
   greedy/beam search: one model forward pass ranks a whole expansion
   without lowering or timing anything.
-* :class:`CostModelExecutor` — a drop-in
-  :class:`~repro.machine.executor.Executor` whose "measurements" are
-  model predictions, so environment rollouts can pay a forward pass
-  instead of an interpretation (the cost-model reward mode).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -46,11 +42,10 @@ from ..ir.ops import FuncOp
 from ..transforms.pipeline import ScheduledFunction
 from ..transforms.records import Transformation
 from ..transforms.scheduled_op import TransformError
-from .executor import ExecutionResult, Executor
+from .executor import Executor
 from .persist import encode_value
 from .service import CachingExecutor, ExecutionCache, func_fingerprint
 from .spec import MACHINE_FEATURE_SIZE, XEON_E5_2680_V4, MachineSpec
-from .timing import TimingBreakdown
 
 #: Bump when the feature layout below changes: saved models record the
 #: version they were trained with, and consumers refuse to score with a
@@ -641,66 +636,3 @@ class RecordingEvaluator:
             self.executor.run_scheduled(scheduled).seconds
             for scheduled in candidates
         ]
-
-
-class CostModelExecutor(Executor):
-    """An :class:`~repro.machine.executor.Executor` backed by a model.
-
-    ``run_baseline`` is real (one fallback evaluation per function,
-    memoized — it doubles as the model's scale anchor), while
-    ``run_scheduled`` returns *predicted* seconds: a rollout rewarded
-    through this executor pays one lowering per episode instead of one
-    per step.  Functions whose schedule state cannot be keyed fall back
-    to the real machine model (``predictions``/``fallbacks`` count
-    both).  Predicted breakdowns are synthetic (all time attributed to
-    compute).  Intended for cheap RL rollouts and lookahead;
-    final/reported numbers should always come from a real executor.
-    """
-
-    def __init__(
-        self,
-        model: CostPredictor,
-        spec: MachineSpec = XEON_E5_2680_V4,
-        fallback: Executor | None = None,
-    ):
-        super().__init__(spec)
-        check_model_compatible(model)
-        self.model = model
-        self.fallback = fallback if fallback is not None else Executor(spec)
-        self.predictions = 0
-        self.fallbacks = 0
-        self._prefix_memo: dict[int, tuple[list[float], ExecutionResult]] = {}
-
-    def _prefix(
-        self, func: FuncOp, fingerprint: tuple
-    ) -> tuple[list[float], ExecutionResult]:
-        cached = self._prefix_memo.get(id(fingerprint))
-        if cached is None:
-            baseline = self.fallback.run_baseline(func)
-            prefix = _static_blocks(self.spec, fingerprint, baseline.seconds)
-            cached = (prefix, baseline)
-            self._prefix_memo[id(fingerprint)] = cached
-        return cached
-
-    def run_baseline(self, func: FuncOp) -> ExecutionResult:
-        fingerprint = func_fingerprint(func)
-        if fingerprint is None:
-            self.fallbacks += 1
-            return self.fallback.run_baseline(func)
-        return self._prefix(func, fingerprint)[1]
-
-    def run_scheduled(self, scheduled: ScheduledFunction) -> ExecutionResult:
-        state = scheduled.schedule_key()
-        fingerprint = func_fingerprint(scheduled.func)
-        if state is None or fingerprint is None:
-            self.fallbacks += 1
-            return self.fallback.run_scheduled(scheduled)
-        prefix, _baseline = self._prefix(scheduled.func, fingerprint)
-        features = np.asarray(
-            prefix + _schedule_blocks(state), dtype=np.float32
-        )
-        seconds = float(self.model.predict_seconds(features[None, :])[0])
-        self.predictions += 1
-        return ExecutionResult(
-            seconds, TimingBreakdown(seconds, seconds, 0.0, 0.0, 1)
-        )

@@ -16,20 +16,8 @@ from .checkpoint import (
 )
 from .gae import compute_gae, normalize_advantages
 from .policy import FlatPolicyNetwork, PolicyNetwork, ValueNetwork
-from .ppo import (
-    FlatPPOTrainer,
-    IterationStats,
-    PPOConfig,
-    PPOTrainer,
-    TrainingHistory,
-)
-from .rollout import (
-    Trajectory,
-    collect_batch,
-    collect_episode,
-    collect_episodes_batched,
-    collect_flat_episode,
-)
+from .ppo import IterationStats, PPOConfig, PPOTrainer, TrainingHistory
+from .rollout import Trajectory, collect_episode, collect_episodes_batched
 
 __all__ = [
     "ActionSpaceBackend",
@@ -39,7 +27,6 @@ __all__ = [
     "get_backend",
     "ActorCritic",
     "FlatActorCritic",
-    "FlatPPOTrainer",
     "FlatPolicyNetwork",
     "FlatSampledStep",
     "IterationStats",
@@ -50,10 +37,8 @@ __all__ = [
     "Trajectory",
     "TrainingHistory",
     "ValueNetwork",
-    "collect_batch",
     "collect_episode",
     "collect_episodes_batched",
-    "collect_flat_episode",
     "compute_gae",
     "load_agent",
     "load_training_state",

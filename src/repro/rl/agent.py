@@ -56,7 +56,63 @@ class SampledStep:
         return self.choice_index
 
 
-class ActorCritic:
+class _Agent:
+    """The acting protocol both agents share.
+
+    :meth:`act` and :meth:`act_batch` return ``(EnvAction, step)``
+    pairs: one network forward over the batch, then each row sampled
+    from its own generator by the agent's ``_sample_row``.
+    """
+
+    def _forward(self, producer: Tensor, consumer: Tensor):
+        """(per-row policy outputs, values) of one batched forward."""
+        raise NotImplementedError
+
+    def _sample_row(self, row, value, observation, rng, greedy):
+        raise NotImplementedError
+
+    def act(
+        self, observation: Observation, rng: np.random.Generator,
+        greedy: bool = False,
+    ) -> tuple[EnvAction, "SampledStep | FlatSampledStep"]:
+        producer = Tensor(observation.producer[None, :])
+        consumer = Tensor(observation.consumer[None, :])
+        rows, values = self._forward(producer, consumer)
+        return self._sample_row(
+            rows[0], float(values[0]), observation, rng, greedy
+        )
+
+    def act_batch(
+        self,
+        observations: "Sequence[Observation]",
+        rngs: "Sequence[np.random.Generator]",
+        greedy: bool = False,
+    ) -> list[tuple[EnvAction, "SampledStep | FlatSampledStep"]]:
+        """Act on a batch of observations with ONE network forward pass.
+
+        Each row samples from its own generator (``rngs[i]``), consuming
+        it exactly as a single-observation :meth:`act` call would — so a
+        vectorized rollout with per-env generators reproduces N
+        sequential single-env rollouts.
+        """
+        if len(observations) != len(rngs):
+            raise ValueError("need one rng per observation")
+        if not observations:
+            return []
+        producer = Tensor(np.stack([o.producer for o in observations]))
+        consumer = Tensor(np.stack([o.consumer for o in observations]))
+        rows, values = self._forward(producer, consumer)
+        return [
+            self._sample_row(
+                rows[index], float(values[index]), observation, rng, greedy
+            )
+            for index, (observation, rng) in enumerate(
+                zip(observations, rngs)
+            )
+        ]
+
+
+class ActorCritic(_Agent):
     """Multi-discrete actor + critic over the MLIR RL environment."""
 
     def __init__(
@@ -72,48 +128,15 @@ class ActorCritic:
 
     # -- acting -----------------------------------------------------------------
 
-    def act(
-        self, observation: Observation, rng: np.random.Generator,
-        greedy: bool = False,
-    ) -> tuple[EnvAction, SampledStep]:
-        producer = Tensor(observation.producer[None, :])
-        consumer = Tensor(observation.consumer[None, :])
-        heads = self.policy(producer, consumer)
-        value = float(self.value(producer, consumer).data[0])
-        row = {name: np.asarray(t.data)[0] for name, t in heads.items()}
-        return self._sample_row(row, value, observation, rng, greedy)
-
-    def act_batch(
-        self,
-        observations: "Sequence[Observation]",
-        rngs: "Sequence[np.random.Generator]",
-        greedy: bool = False,
-    ) -> list[tuple[EnvAction, SampledStep]]:
-        """Act on a batch of observations with ONE network forward pass.
-
-        Each row samples from its own generator (``rngs[i]``), consuming
-        it exactly as a single-observation :meth:`act` call would — so a
-        vectorized rollout with per-env generators reproduces N
-        sequential single-env rollouts.
-        """
-        if len(observations) != len(rngs):
-            raise ValueError("need one rng per observation")
-        if not observations:
-            return []
-        producer = Tensor(np.stack([o.producer for o in observations]))
-        consumer = Tensor(np.stack([o.consumer for o in observations]))
+    def _forward(self, producer: Tensor, consumer: Tensor):
         heads = self.policy(producer, consumer)
         values = np.asarray(self.value(producer, consumer).data)
         head_data = {name: np.asarray(t.data) for name, t in heads.items()}
-        out = []
-        for index, (observation, rng) in enumerate(zip(observations, rngs)):
-            row = {name: data[index] for name, data in head_data.items()}
-            out.append(
-                self._sample_row(
-                    row, float(values[index]), observation, rng, greedy
-                )
-            )
-        return out
+        rows = [
+            {name: data[index] for name, data in head_data.items()}
+            for index in range(len(values))
+        ]
+        return rows, values
 
     def _sample_row(
         self,
@@ -268,7 +291,7 @@ class ActorCritic:
         return log_probs, entropies, values
 
 
-class FlatActorCritic:
+class FlatActorCritic(_Agent):
     """Ablation agent over the flat action space (§VII-D2)."""
 
     def __init__(
@@ -305,20 +328,28 @@ class FlatActorCritic:
             legal[self._fallback] = True  # no-transformation fallback
         return legal
 
-    def act(
+    def _forward(self, producer: Tensor, consumer: Tensor):
+        logits = np.asarray(self.policy(producer, consumer).data)
+        values = np.asarray(self.value(producer, consumer).data)
+        return logits, values
+
+    def _sample_row(
         self,
+        logits: np.ndarray,
+        value: float,
         observation: Observation,
-        num_loops: int,
         rng: np.random.Generator,
-    ) -> tuple["FlatSampledStep", int]:
-        producer = Tensor(observation.producer[None, :])
-        consumer = Tensor(observation.consumer[None, :])
-        logits = self.policy(producer, consumer)
-        value = float(self.value(producer, consumer).data[0])
-        legal = self.flat_mask(observation.mask, num_loops)
-        dist = MaskedCategorical(logits, legal[None, :])
-        choice = int(dist.sample(rng)[0])
+        greedy: bool,
+    ) -> tuple[EnvAction, "FlatSampledStep"]:
+        """Sample one table entry; its decoded record is the action."""
+        legal = self.flat_mask(observation.mask, observation.num_loops)
+        dist = MaskedCategorical(Tensor(logits[None, :]), legal[None, :])
+        choice = int(dist.mode()[0] if greedy else dist.sample(rng)[0])
         log_prob = float(dist.log_prob(np.array([choice])).data[0])
+        flat = self.table[choice]
+        action = EnvAction(
+            flat.kind, record=flat.to_record(observation.num_loops)
+        )
         step = FlatSampledStep(
             consumer=observation.consumer,
             producer=observation.producer,
@@ -327,7 +358,7 @@ class FlatActorCritic:
             log_prob=log_prob,
             value=value,
         )
-        return step, choice
+        return action, step
 
     def evaluate(
         self, steps: list["FlatSampledStep"]

@@ -5,8 +5,10 @@ the registry's transforms are exposed to the agent:
 
 * the gym-style action space (``MultiDiscrete`` vs ``Discrete``),
 * the agent class (:class:`~repro.rl.agent.ActorCritic` vs
-  :class:`~repro.rl.agent.FlatActorCritic`),
-* episode collection and the matching PPO trainer.
+  :class:`~repro.rl.agent.FlatActorCritic`).
+
+Both agents act through the same ``act``/``act_batch`` protocol, so one
+episode collector and one :class:`~repro.rl.ppo.PPOTrainer` serve both.
 
 Both backends are registry-derived — they enumerate the same
 :func:`~repro.transforms.registry.view_for` view, so they reach the same
@@ -35,8 +37,7 @@ from ..env.spaces import Space
 from ..ir.ops import FuncOp
 from ..transforms.registry import view_for
 from .agent import ActorCritic, FlatActorCritic
-from .ppo import FlatPPOTrainer, PPOConfig, PPOTrainer
-from .rollout import Trajectory, collect_episode, collect_flat_episode
+from .ppo import PPOConfig, PPOTrainer
 
 
 class ActionSpaceBackend(ABC):
@@ -58,19 +59,6 @@ class ActionSpaceBackend(ABC):
     ):
         """A fresh agent sized for this backend's action space."""
 
-    @abstractmethod
-    def collect(
-        self,
-        env: MlirRlEnv,
-        agent,
-        func: FuncOp,
-        rng: np.random.Generator,
-        max_steps: int | None = None,
-        greedy: bool = False,
-    ) -> Trajectory:
-        """Run one episode with this backend's agent."""
-
-    @abstractmethod
     def trainer(
         self,
         env: MlirRlEnv,
@@ -80,12 +68,13 @@ class ActionSpaceBackend(ABC):
         seed: int = 0,
         machines=None,
     ) -> PPOTrainer:
-        """A PPO trainer wired for this backend.
+        """A PPO trainer for this backend's agent.
 
         ``machines`` (a sequence of machine specs) opts into
         round-robin mixed-hardware training — see
         :class:`~repro.rl.ppo.PPOTrainer`.
         """
+        return PPOTrainer(env, agent, sampler, ppo_config, seed, machines)
 
 
 class HierarchicalBackend(ActionSpaceBackend):
@@ -99,17 +88,6 @@ class HierarchicalBackend(ActionSpaceBackend):
     def build_agent(self, rng, hidden_size: int = 512) -> ActorCritic:
         return ActorCritic(self.config, rng, hidden_size)
 
-    def collect(self, env, agent, func, rng, max_steps=None, greedy=False):
-        return collect_episode(
-            env, agent, func, rng, max_steps=max_steps, greedy=greedy
-        )
-
-    def trainer(
-        self, env, agent, sampler, ppo_config=PPOConfig(), seed=0,
-        machines=None,
-    ) -> PPOTrainer:
-        return PPOTrainer(env, agent, sampler, ppo_config, seed, machines)
-
 
 class FlatBackend(ActionSpaceBackend):
     """The flat enumerated action space (ablation §VII-D2)."""
@@ -121,21 +99,6 @@ class FlatBackend(ActionSpaceBackend):
 
     def build_agent(self, rng, hidden_size: int = 512) -> FlatActorCritic:
         return FlatActorCritic(self.config, rng, hidden_size)
-
-    def collect(self, env, agent, func, rng, max_steps=None, greedy=False):
-        # The flat agent has no greedy mode; sampling is the ablation's
-        # published behaviour.
-        return collect_flat_episode(
-            env, agent, func, rng, max_steps=max_steps
-        )
-
-    def trainer(
-        self, env, agent, sampler, ppo_config=PPOConfig(), seed=0,
-        machines=None,
-    ) -> FlatPPOTrainer:
-        return FlatPPOTrainer(
-            env, agent, sampler, ppo_config, seed, machines
-        )
 
 
 BACKENDS: dict[str, type[ActionSpaceBackend]] = {

@@ -22,12 +22,7 @@ from ..nn.optim import Adam, clip_grad_norm
 from ..nn.tensor import Tensor, where
 from .agent import ActorCritic, FlatActorCritic
 from .gae import compute_gae, normalize_advantages
-from .rollout import (
-    Trajectory,
-    collect_episode,
-    collect_episodes_batched,
-    collect_flat_episode,
-)
+from .rollout import Trajectory, collect_episode, collect_episodes_batched
 
 
 @dataclass(frozen=True)
@@ -126,12 +121,12 @@ def _geomean(values: Sequence[float]) -> float:
 
 
 class PPOTrainer:
-    """Trains the multi-discrete actor-critic on an environment."""
+    """Trains either agent (multi-discrete or flat) on an environment."""
 
     def __init__(
         self,
         env: MlirRlEnv,
-        agent: ActorCritic,
+        agent: ActorCritic | FlatActorCritic,
         sampler: Callable[[np.random.Generator], FuncOp],
         config: PPOConfig = PPOConfig(),
         seed: int = 0,
@@ -158,81 +153,32 @@ class PPOTrainer:
         #: (and checkpoint resume) so resumed runs continue numbering
         #: where they stopped.
         self.iteration = 0
-        self._async_env = None
+        self._vec_env: VecMlirRlEnv | AsyncVecMlirRlEnv | None = None
 
     # -- collection ------------------------------------------------------------
 
     def collect(self) -> list[Trajectory]:
-        if self.config.num_workers > 1:
-            return self._collect_parallel()
-        if self.config.num_envs > 1:
-            return self._collect_vectorized()
+        """The iteration's episodes: sequential on the training env when
+        ``num_envs == num_workers == 1``, else batched through
+        :meth:`_vector_env`.
+
+        A batch runs one policy forward per vector step.  Its draws (the
+        functions, then one generator per episode) come from the
+        trainer's generator up front, so a pool and an equally wide
+        in-process vector env collect identical episodes.  Timing caches
+        are synced after every batch: a baseline computed by one worker
+        is a hit for every other worker from then on.
+        """
+        if self.config.num_envs == 1 and self.config.num_workers == 1:
+            trajectories = []
+            for _ in range(self.config.samples_per_iteration):
+                func = self.sampler(self.rng)
+                trajectories.append(
+                    collect_episode(self.env, self.agent, func, self.rng)
+                )
+            return trajectories
+        vec_env = self._vector_env()
         trajectories = []
-        for _ in range(self.config.samples_per_iteration):
-            func = self.sampler(self.rng)
-            trajectories.append(
-                collect_episode(self.env, self.agent, func, self.rng)
-            )
-        return trajectories
-
-    def _collect_vectorized(self) -> list[Trajectory]:
-        """Collect the iteration's episodes in vec-env batches.
-
-        Batches share the training env's (caching) executor, so baseline
-        timings stay warm across iterations.
-        """
-        trajectories: list[Trajectory] = []
-        remaining = self.config.samples_per_iteration
-        while remaining > 0:
-            batch = min(self.config.num_envs, remaining)
-            funcs = [self.sampler(self.rng) for _ in range(batch)]
-            rngs = [
-                np.random.default_rng(int(self.rng.integers(0, 2**63)))
-                for _ in range(batch)
-            ]
-            vec_env = VecMlirRlEnv(
-                batch, config=self.env.config, executor=self.env.executor
-            )
-            trajectories.extend(
-                collect_episodes_batched(vec_env, self.agent, funcs, rngs)
-            )
-            remaining -= batch
-        return trajectories
-
-    def _parallel_env(self):
-        """The persistent multiprocessing rollout pool (lazily started).
-
-        A pool closed by a worker's error is replaced on the next
-        collection instead of reused with a desynchronized protocol.
-        """
-        if self._async_env is not None and self._async_env.closed:
-            self._async_env = None
-        if self._async_env is None:
-            self._async_env = AsyncVecMlirRlEnv(
-                max(self.config.num_envs, self.config.num_workers),
-                config=self.env.config,
-                executor=self.env.executor,
-                seed=self._pool_seed,
-            )
-            # Fresh workers time on the config's registered machine; if
-            # the training env was retargeted (round-robin schedules,
-            # an explicit set_machine), bring them onto its spec.
-            if self.env.executor.spec != self.env.config.machine_spec():
-                self._async_env.set_machine(self.env.executor.spec)
-        return self._async_env
-
-    def _collect_parallel(self) -> list[Trajectory]:
-        """Collect the iteration's episodes through the worker pool.
-
-        Identical draws to :meth:`_collect_vectorized` with the same
-        width — the policy forwards and all sampling stay in the parent,
-        only env stepping crosses the process boundary — so async and
-        in-process vectorized collection produce identical episodes.
-        Timing caches are synced after every batch: a baseline computed
-        by one worker is a hit for every other worker from then on.
-        """
-        vec_env = self._parallel_env()
-        trajectories: list[Trajectory] = []
         remaining = self.config.samples_per_iteration
         while remaining > 0:
             batch = min(vec_env.num_envs, remaining)
@@ -248,21 +194,48 @@ class PPOTrainer:
             remaining -= batch
         return trajectories
 
+    def _vector_env(self) -> VecMlirRlEnv | AsyncVecMlirRlEnv:
+        """The persistent vector env of batched collection, built on
+        first use on the training env's executor: ``num_envs``
+        in-process slots when ``num_workers == 1``, else a worker pool
+        of ``max(num_envs, num_workers)`` slots.
+
+        A pool closed by a worker's error is replaced on the next
+        collection instead of reused with a desynchronized protocol.
+        """
+        if self._vec_env is not None and self._vec_env.closed:
+            self._vec_env = None
+        if self._vec_env is None:
+            if self.config.num_workers == 1:
+                self._vec_env = VecMlirRlEnv(
+                    self.config.num_envs,
+                    config=self.env.config,
+                    executor=self.env.executor,
+                )
+            else:
+                self._vec_env = AsyncVecMlirRlEnv(
+                    max(self.config.num_envs, self.config.num_workers),
+                    config=self.env.config,
+                    executor=self.env.executor,
+                    seed=self._pool_seed,
+                )
+        return self._vec_env
+
     def _apply_machine(self, spec) -> None:
-        """Point the training env (and any live worker pool) at ``spec``.
+        """Point the training env (and any live vector env) at ``spec``.
 
         Timing caches survive the switch — entries are spec-keyed — so
         revisiting a machine later in the round-robin stays warm.
         """
         self.env.set_machine(spec)
-        if self._async_env is not None and not self._async_env.closed:
-            self._async_env.set_machine(spec)
+        if self._vec_env is not None and not self._vec_env.closed:
+            self._vec_env.set_machine(spec)
 
     def close(self) -> None:
-        """Shut down the rollout worker pool, if one was started."""
-        if self._async_env is not None:
-            self._async_env.close()
-            self._async_env = None
+        """Shut down the vector env, if batched collection built one."""
+        if self._vec_env is not None:
+            self._vec_env.close()
+            self._vec_env = None
 
     # -- update ---------------------------------------------------------------
 
@@ -396,36 +369,3 @@ class PPOTrainer:
             if state_path is not None:
                 save_training_state(self, state_path)
         return self.history
-
-
-class FlatPPOTrainer(PPOTrainer):
-    """PPO over the flat action space (ablation §VII-D2)."""
-
-    def __init__(
-        self,
-        env: MlirRlEnv,
-        agent: FlatActorCritic,
-        sampler: Callable[[np.random.Generator], FuncOp],
-        config: PPOConfig = PPOConfig(),
-        seed: int = 0,
-        machines: "Sequence | None" = None,
-    ):
-        if config.num_envs > 1 or config.num_workers > 1:
-            # Fail loudly instead of silently collecting sequentially:
-            # the flat agent has no batched-act path (yet).
-            raise ValueError(
-                "the flat action-space trainer collects sequentially; "
-                f"PPOConfig(num_envs={config.num_envs}, "
-                f"num_workers={config.num_workers}) is not supported "
-                "— use 1/1 or the hierarchical backend"
-            )
-        super().__init__(env, agent, sampler, config, seed, machines)  # type: ignore[arg-type]
-
-    def collect(self) -> list[Trajectory]:
-        trajectories = []
-        for _ in range(self.config.samples_per_iteration):
-            func = self.sampler(self.rng)
-            trajectories.append(
-                collect_flat_episode(self.env, self.agent, func, self.rng)
-            )
-        return trajectories

@@ -8,14 +8,14 @@ over a batch of samples and records everything PPO needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..env.environment import MlirRlEnv
-from ..env.vector import VecMlirRlEnv
+from ..env.vector import AsyncVecMlirRlEnv, VecMlirRlEnv
 from ..ir.ops import FuncOp
-from .agent import ActorCritic, FlatActorCritic, FlatSampledStep, SampledStep
+from .agent import ActorCritic, FlatActorCritic
 
 
 @dataclass
@@ -48,13 +48,13 @@ def _step_limit(config, max_steps: int | None) -> int:
 
 def collect_episode(
     env: MlirRlEnv,
-    agent: ActorCritic,
+    agent: ActorCritic | FlatActorCritic,
     func: FuncOp,
     rng: np.random.Generator,
     max_steps: int | None = None,
     greedy: bool = False,
 ) -> Trajectory:
-    """Run one episode with the multi-discrete agent."""
+    """Run one episode with either agent."""
     trajectory = Trajectory()
     observation = env.reset(func)
     for _ in range(_step_limit(env.config, max_steps)):
@@ -74,67 +74,9 @@ def collect_episode(
     return trajectory
 
 
-def collect_flat_episode(
-    env: MlirRlEnv,
-    agent: FlatActorCritic,
-    func: FuncOp,
-    rng: np.random.Generator,
-    max_steps: int | None = None,
-) -> Trajectory:
-    """Run one episode with the flat-action agent (ablation)."""
-    from ..env.actions import EnvAction  # local import to avoid a cycle
-
-    trajectory = Trajectory()
-    observation = env.reset(func)
-    for _ in range(_step_limit(env.config, max_steps)):
-        num_loops = env.current_schedule().num_loops
-        step, choice = agent.act(observation, num_loops, rng)
-        flat = agent.table[choice]
-        record = flat.to_record(num_loops)
-        env_action = _flat_to_env_action(flat, record)
-        result = env.step(env_action)
-        trajectory.steps.append(step)
-        trajectory.rewards.append(result.reward)
-        trajectory.executions = result.info.get(
-            "executions", trajectory.executions
-        )
-        if result.done:
-            trajectory.speedup = result.info.get("speedup", 1.0)
-            break
-        observation = result.observation
-    else:
-        trajectory.speedup = env.final_speedup()
-    return trajectory
-
-
-def _flat_to_env_action(flat, record):
-    """Convert a flat table entry into the env's action format.
-
-    Flat actions carry fully-decoded records, so they use the record
-    bypass rather than the multi-discrete decoding path.
-    """
-    from ..env.actions import EnvAction
-
-    return EnvAction(flat.kind, record=record)
-
-
-def collect_batch(
-    env: MlirRlEnv,
-    agent: ActorCritic,
-    functions: Sequence[FuncOp],
-    rng: np.random.Generator,
-    max_steps: int | None = None,
-) -> list[Trajectory]:
-    """One trajectory per code sample."""
-    return [
-        collect_episode(env, agent, func, rng, max_steps)
-        for func in functions
-    ]
-
-
 def collect_episodes_batched(
-    vec_env: "VecMlirRlEnv",
-    agent: ActorCritic,
+    vec_env: VecMlirRlEnv | AsyncVecMlirRlEnv,
+    agent: ActorCritic | FlatActorCritic,
     funcs: Sequence[FuncOp],
     rngs: Sequence[np.random.Generator],
     max_steps: int | None = None,
@@ -147,10 +89,9 @@ def collect_episodes_batched(
     per-env generators the sampled trajectories match N sequential
     :func:`collect_episode` calls on identically-seeded generators.
 
-    ``funcs`` may be shorter than the vector width when the env supports
-    partial resets (the async pool does): surplus slots sit the batch
-    out, so a persistent pool can collect a tail batch smaller than
-    itself.
+    ``funcs`` may be shorter than the vector width: surplus slots sit
+    the batch out, so a persistent vector env can collect a tail batch
+    smaller than itself.
     """
     episodes = len(funcs)
     if episodes > vec_env.num_envs or len(rngs) != episodes:

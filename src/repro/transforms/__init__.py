@@ -38,7 +38,7 @@ from .parallelization import (
     apply_parallelization,
     legal_parallel_positions,
 )
-from .pipeline import ScheduledFunction, apply_schedule
+from .pipeline import ScheduledFunction
 from .records import (
     Interchange,
     NoTransformation,
@@ -48,7 +48,6 @@ from .records import (
     TransformKind,
     Transformation,
     Vectorization,
-    identity_permutation,
     is_permutation,
 )
 from .loop_printer import print_nest, print_nests
@@ -62,7 +61,6 @@ from .registry import (
     TransformSpec,
     get_spec,
     register_transform,
-    registered_transforms,
     spec_for_record,
     view_for,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "can_unroll",
     "get_spec",
     "register_transform",
-    "registered_transforms",
     "rotation_permutations",
     "spec_for_record",
     "view_for",
@@ -120,7 +117,6 @@ __all__ = [
     "access_patterns",
     "apply_interchange",
     "apply_parallelization",
-    "apply_schedule",
     "apply_script",
     "apply_tiled_parallelization",
     "apply_tiling",
@@ -129,7 +125,6 @@ __all__ = [
     "coverage_per_dim",
     "enumerated_candidates",
     "fuse_producers",
-    "identity_permutation",
     "intermediate_value_dims",
     "is_fusable",
     "is_permutation",

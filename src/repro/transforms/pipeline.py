@@ -175,15 +175,3 @@ class ScheduledFunction:
 
     def schedules(self) -> list[ScheduledOp]:
         return [self.schedule_of(op) for op in self.func.body]
-
-
-def apply_schedule(
-    func: FuncOp,
-    op: LinalgOp,
-    transforms: list[Transformation],
-) -> ScheduledFunction:
-    """Convenience: apply a transformation sequence to one op."""
-    scheduled = ScheduledFunction(func)
-    for transform in transforms:
-        scheduled.apply(op, transform)
-    return scheduled

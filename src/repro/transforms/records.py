@@ -116,9 +116,5 @@ Transformation = (
 )
 
 
-def identity_permutation(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def is_permutation(values: Sequence[int]) -> bool:
     return sorted(values) == list(range(len(values)))

@@ -434,11 +434,6 @@ def register_transform(spec: TransformSpec) -> TransformSpec:
     return spec
 
 
-def registered_transforms() -> tuple[str, ...]:
-    """Names of every registered transform (registration order)."""
-    return tuple(_SPECS)
-
-
 def actionable_transforms() -> tuple[str, ...]:
     """Names of the transforms that may appear in an action space."""
     return tuple(

@@ -6,8 +6,7 @@ reloads with bit-identical timings and working spec-keyed lookups, the
 exporter emits a byte-identical dataset across runs and fork workers,
 beam search dedups identical candidate schedules before scoring, a
 trained model predicts identically after save/load, model-guided
-greedy/beam search runs end to end, the environment swaps to (and
-restores from) cost-model rewards, and the CLI verbs chain together.
+greedy/beam search runs end to end, and the CLI verbs chain together.
 """
 
 import math
@@ -19,13 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import BeamSearchAgent, GreedyAgent, MlirBaseline
 from repro.cli import main
-from repro.env import EnvAction, MlirRlEnv, small_config
 from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.machine import (
     FEATURE_SIZE,
     FEATURE_VERSION,
     CachingExecutor,
-    CostModelExecutor,
     ExecutionCache,
     Executor,
     ScheduleCostEvaluator,
@@ -48,7 +45,6 @@ from repro.nn import (
     save_cost_model,
     train_cost_model,
 )
-from repro.transforms import TransformKind
 
 
 def _mm():
@@ -355,8 +351,6 @@ class TestCostModel:
             check_model_compatible(stale)
         with pytest.raises(ValueError, match="feature layout"):
             ScheduleCostEvaluator(stale, XEON_E5_2680_V4)
-        with pytest.raises(ValueError, match="feature layout"):
-            CostModelExecutor(stale)
 
     def test_predictions_are_finite_positive(self, trained):
         model, _metrics, dataset = trained
@@ -417,17 +411,22 @@ class TestGuidedSearch:
         assert result.schedule is not None
 
     def test_scoring_agrees_with_executor_predictions(self, trained):
-        """The evaluator's batched path and CostModelExecutor's one-off
-        path featurize identically."""
+        """The evaluator's batched path and a one-off prediction on
+        :func:`sample_features` agree."""
         model, _metrics, _dataset = trained
         func = _mm()
         from repro.transforms.pipeline import ScheduledFunction
 
         scheduled = ScheduledFunction(func)
         evaluator = ScheduleCostEvaluator(model, XEON_E5_2680_V4)
-        executor = CostModelExecutor(model)
         score = evaluator.score_batch([scheduled])[0]
-        predicted = executor.run_scheduled(scheduled).seconds
+        features = sample_features(
+            XEON_E5_2680_V4,
+            func_fingerprint(func),
+            scheduled.schedule_key(),
+            Executor(XEON_E5_2680_V4).run_baseline(func).seconds,
+        )
+        predicted = float(model.predict_seconds(features[None, :])[0])
         assert score == pytest.approx(predicted, rel=1e-6)
 
     def test_batched_rows_are_sample_features(self):
@@ -470,56 +469,6 @@ class TestGuidedSearch:
                 executor.run_baseline(scheduled.func).seconds,
             )
             assert row.tobytes() == expected.tobytes()
-
-
-# ---------------------------------------------------------------------------
-# Environment integration
-# ---------------------------------------------------------------------------
-
-
-def _policy_action(env, observation, rng):
-    mask = observation.mask
-    legal = mask.legal_transformations()
-    kind = legal[rng.integers(len(legal))]
-    if kind in (
-        TransformKind.TILING,
-        TransformKind.TILED_PARALLELIZATION,
-        TransformKind.TILED_FUSION,
-    ):
-        indices = tuple(
-            int(rng.integers(env.config.num_tile_sizes))
-            for _ in range(env.config.max_loops)
-        )
-        return EnvAction(kind, tile_indices=indices)
-    if kind is TransformKind.INTERCHANGE:
-        choices = np.flatnonzero(mask.interchange)
-        return EnvAction(kind, pointer_loop=int(rng.choice(choices)))
-    return EnvAction(kind)
-
-
-class TestEnvCostModel:
-    def test_set_cost_model_swaps_and_restores(self, trained):
-        model, _metrics, _dataset = trained
-        env = MlirRlEnv(config=small_config())
-        real = env.executor
-        env.set_cost_model(model)
-        assert isinstance(env.executor, CostModelExecutor)
-        assert env.executor.fallback is real
-        env.set_cost_model(None)
-        assert env.executor is real
-
-    def test_rollout_uses_predictions(self, trained):
-        model, _metrics, _dataset = trained
-        env = MlirRlEnv(config=small_config())
-        env.set_cost_model(model)
-        rng = np.random.default_rng(5)
-        observation = env.reset(_chain())
-        done = False
-        while not done:
-            result = env.step(_policy_action(env, observation, rng))
-            done = result.done
-            observation = result.observation
-        assert env.executor.predictions > 0
 
 
 # ---------------------------------------------------------------------------

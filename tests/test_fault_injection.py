@@ -9,6 +9,8 @@ the original seeds, guarded executors absorb transient faults via
 retries, and atomic writes make torn files detectable and salvageable.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -431,6 +433,41 @@ class TestSupervisedRecovery:
             for env in pool._local:
                 assert isinstance(env.executor, GuardedExecutor)
                 assert env.executor.policy == policy
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestForkHeap:
+    """The pool trims the parent's heap before every fork, so neither a
+    respawn nor its victim's exit pays for freed memory's page tables."""
+
+    def test_every_fork_trims_the_heap(self, monkeypatch):
+        trims = []
+        monkeypatch.setattr(vector, "_trim_heap", lambda: trims.append(1))
+        plan = FaultPlan([FaultEvent("worker", 2, "kill")])
+        with AsyncVecMlirRlEnv(2, config=CONFIG, plan=plan) as pool:
+            _run_vec(pool, [_matmul_func(), _chain_func()], seed=7)
+            respawns = pool.telemetry()["respawns"]
+        assert respawns >= 1
+        assert len(trims) == 2 + respawns
+
+    def test_trim_returns_freed_pages(self):
+        vector._trim_heap()
+        if not vector._malloc_trim:
+            pytest.skip("the C library has no malloc_trim")
+        # 64 KiB blocks come from the malloc heap, below its mmap
+        # threshold; the live last block keeps free() from trimming the
+        # heap top by itself.
+        blocks = [np.ones(8192) for _ in range(1024)]
+        keep = blocks[-1]
+        del blocks
+        before = _resident_bytes()
+        vector._trim_heap()
+        assert before - _resident_bytes() > 32 << 20
+        assert keep.sum() == 8192
 
 
 def _guarded_env(**policy):

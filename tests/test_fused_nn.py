@@ -32,7 +32,6 @@ from repro.nn import (
 from repro.rl import (
     ActorCritic,
     FlatActorCritic,
-    FlatPPOTrainer,
     PPOConfig,
     PPOTrainer,
     load_agent,
@@ -72,7 +71,7 @@ def _hierarchical(config, hidden, num_envs=1, agent_from=None):
 def _flat(tmp_path):
     config = small_config()
     agent = FlatActorCritic(config, np.random.default_rng(0), hidden_size=32)
-    return FlatPPOTrainer(MlirRlEnv(config=config), agent, _sampler(), PPO, seed=0)
+    return PPOTrainer(MlirRlEnv(config=config), agent, _sampler(), PPO, seed=0)
 
 
 CASES = {

@@ -230,6 +230,36 @@ class TestConditionedObservations:
             edge = async_env.step([stop])
         assert edge.infos[0]["speedup"] != actual.infos[0]["speedup"]
 
+    def test_async_env_workers_follow_parent_executor_spec(self):
+        """Workers time on the machine of the executor the pool is built
+        on, like in-process envs, not on the config's default machine."""
+        from repro.env import EnvAction
+        from repro.transforms import TransformKind
+
+        config = small_config(max_episode_steps=16)
+        parallelize = EnvAction(
+            TransformKind.TILED_PARALLELIZATION,
+            tile_indices=(3, 3, 0, 0, 0, 0),
+        )
+        stop = EnvAction(TransformKind.NO_TRANSFORMATION)
+        results = []
+        for make in (VecMlirRlEnv, AsyncVecMlirRlEnv):
+            vec = make(
+                1,
+                config=config,
+                executor=CachingExecutor(spec("edge-cortex-a72")),
+            )
+            vec.reset([_matmul_func()[0]])
+            first = vec.step([parallelize])
+            results.append(
+                (
+                    first.observation.consumer.tolist(),
+                    vec.step([stop]).infos[0]["speedup"],
+                )
+            )
+            vec.close()
+        assert results[0] == results[1]
+
 
 class TestCrossSpecCacheIsolation:
     def _scheduled(self):

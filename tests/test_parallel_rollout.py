@@ -17,8 +17,8 @@ from repro.env.environment import MlirRlEnv
 from repro.env.vector import AsyncVecMlirRlEnv, VecMlirRlEnv
 from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.machine import CachingExecutor
-from repro.rl.agent import ActorCritic
-from repro.rl.ppo import FlatPPOTrainer, PPOConfig, PPOTrainer
+from repro.rl.agent import ActorCritic, FlatActorCritic
+from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.rollout import collect_episode, collect_episodes_batched
 from repro.transforms import TransformKind
 from repro.transforms.registry import PluginKind
@@ -161,6 +161,32 @@ class TestAsyncVecEnv:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
 
+    def test_observations_carry_num_loops(self):
+        """Pool observations carry the same per-slot loop counts as
+        in-process ones (the flat agent decodes records with them)."""
+        funcs = [_matmul_func(), _chain_func()]
+
+        def loop_counts(vec_env):
+            rng = np.random.default_rng(11)
+            vec_obs = vec_env.reset(list(funcs))
+            counts = []
+            while vec_obs.active.any():
+                counts.append(vec_obs.num_loops.tolist())
+                actions = [
+                    _scripted_action(vec_obs.observation_of(i), rng, CONFIG)
+                    if vec_obs.active[i]
+                    else None
+                    for i in range(vec_env.num_envs)
+                ]
+                vec_obs = vec_env.step(actions).observation
+            return counts
+
+        expected = loop_counts(VecMlirRlEnv(2, config=CONFIG))
+        with AsyncVecMlirRlEnv(2, config=CONFIG) as async_env:
+            actual = loop_counts(async_env)
+        assert actual == expected
+        assert expected[0] == [3, 2]
+
     def test_close_is_idempotent(self):
         async_env = AsyncVecMlirRlEnv(1, config=CONFIG)
         async_env.reset([_matmul_func()])
@@ -264,6 +290,47 @@ class TestParallelCollection:
         )
         assert sync == parallel
 
+    def test_flat_trainer_workers_match_in_process_vec(self):
+        """The flat agent collects through the worker pool too, and its
+        episodes equal in-process batched collection's."""
+        funcs = [_matmul_func(), _chain_func()]
+
+        def sampler(rng):
+            return funcs[int(rng.integers(len(funcs)))]
+
+        def run(ppo_config):
+            agent = FlatActorCritic(
+                CONFIG, np.random.default_rng(1), hidden_size=16
+            )
+            env = MlirRlEnv(config=CONFIG)
+            trainer = PPOTrainer(env, agent, sampler, ppo_config, seed=3)
+            try:
+                trajectories = trainer.collect()
+            finally:
+                trainer.close()
+            return [
+                (
+                    t.rewards,
+                    t.speedup,
+                    [(s.action, s.log_prob, s.value) for s in t.steps],
+                )
+                for t in trajectories
+            ]
+
+        in_process = run(
+            PPOConfig(samples_per_iteration=3, minibatch_size=4, num_envs=2)
+        )
+        pool = run(
+            PPOConfig(
+                samples_per_iteration=3,
+                minibatch_size=4,
+                num_envs=2,
+                num_workers=2,
+            )
+        )
+        assert len(in_process) == 3
+        assert pool == in_process
+
     def test_single_worker_is_the_sequential_path(self):
         """num_workers=1 must not touch collection at all (seed-exact)."""
         funcs = [_matmul_func()]
@@ -278,9 +345,9 @@ class TestParallelCollection:
             trainer = PPOTrainer(env, agent, sampler, ppo_config, seed=5)
             try:
                 history = trainer.train(1)
+                assert trainer._vec_env is None  # no vector env built
             finally:
                 trainer.close()
-            assert trainer._async_env is None  # pool never started
             return [
                 (s.mean_reward, s.geomean_speedup, s.policy_loss)
                 for s in history.iterations
@@ -371,20 +438,6 @@ class TestConfigValidation:
     def test_num_workers_validated(self):
         with pytest.raises(ValueError):
             PPOConfig(num_workers=0)
-
-    def test_flat_trainer_rejects_workers(self):
-        from repro.rl.agent import FlatActorCritic
-
-        rng = np.random.default_rng(0)
-        agent = FlatActorCritic(CONFIG, rng, hidden_size=16)
-        env = MlirRlEnv(config=CONFIG)
-        with pytest.raises(ValueError):
-            FlatPPOTrainer(
-                env,
-                agent,
-                lambda rng: _matmul_func(),
-                PPOConfig(num_workers=2),
-            )
 
     def test_plugin_kind_pickles_with_name(self):
         kind = PluginKind(6, "unrolling")

@@ -35,7 +35,6 @@ from repro.rl import (
     FlatActorCritic,
     PPOConfig,
     collect_episode,
-    collect_flat_episode,
     get_backend,
     save_agent,
     load_agent,
@@ -344,7 +343,7 @@ class TestUnrollingInEnvironment:
         rng = np.random.default_rng(0)
         agent = FlatActorCritic(config, rng, hidden_size=32)
         env = MlirRlEnv(config=config)
-        trajectory = collect_flat_episode(env, agent, _matmul_func(), rng)
+        trajectory = collect_episode(env, agent, _matmul_func(), rng)
         assert len(trajectory) >= 1
         log_probs, _, _ = agent.evaluate(trajectory.steps)
         recorded = np.array([s.log_prob for s in trajectory.steps])
@@ -392,7 +391,7 @@ class TestBackends:
             backend = get_backend(name, config)
             agent = backend.build_agent(rng, hidden_size=32)
             env = MlirRlEnv(config=config)
-            trajectory = backend.collect(env, agent, _matmul_func(), rng)
+            trajectory = collect_episode(env, agent, _matmul_func(), rng)
             assert len(trajectory) >= 1
             assert trajectory.speedup > 0
 
@@ -402,19 +401,6 @@ class TestBackends:
         with pytest.raises(ValueError):
             PPOConfig(num_envs=-3)
         assert PPOConfig(num_envs=1).num_envs == 1
-
-    def test_flat_trainer_rejects_batched_collection(self):
-        """The flat agent has no batched-act path; num_envs > 1 must
-        fail loudly instead of silently collecting sequentially."""
-        from repro.rl import FlatPPOTrainer
-
-        config = small_config()
-        agent = FlatActorCritic(config, np.random.default_rng(0), 16)
-        env = MlirRlEnv(config=config)
-        with pytest.raises(ValueError, match="sequentially"):
-            FlatPPOTrainer(
-                env, agent, lambda r: _matmul_func(), PPOConfig(num_envs=4)
-            )
 
 
 class TestFlatHierarchicalParity:

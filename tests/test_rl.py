@@ -13,9 +13,7 @@ from repro.rl import (
     IterationStats,
     PPOConfig,
     PPOTrainer,
-    FlatPPOTrainer,
     collect_episode,
-    collect_flat_episode,
     compute_gae,
     load_agent,
     normalize_advantages,
@@ -106,7 +104,7 @@ class TestAgentConsistency:
         rng = np.random.default_rng(0)
         agent = FlatActorCritic(config, rng, hidden_size=32)
         env = MlirRlEnv(config=config)
-        trajectory = collect_flat_episode(env, agent, _matmul_func(), rng)
+        trajectory = collect_episode(env, agent, _matmul_func(), rng)
         assert len(trajectory) >= 1
         log_probs, _, _ = agent.evaluate(trajectory.steps)
         recorded = np.array([s.log_prob for s in trajectory.steps])
@@ -171,7 +169,7 @@ class TestPPO:
         agent = FlatActorCritic(config, rng, hidden_size=32)
         env = MlirRlEnv(config=config)
         ppo = PPOConfig(samples_per_iteration=2, minibatch_size=8)
-        trainer = FlatPPOTrainer(
+        trainer = PPOTrainer(
             env, agent, lambda r: _matmul_func(), ppo, seed=0
         )
         history = trainer.train(1)

@@ -13,6 +13,7 @@ from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.machine import CachingExecutor
 from repro.rl import (
     ActorCritic,
+    FlatActorCritic,
     PPOConfig,
     PPOTrainer,
     collect_episode,
@@ -50,9 +51,19 @@ class TestVecEnvBasics:
         assert all(mask is not None for mask in obs.masks)
 
     def test_reset_wrong_count_raises(self):
+        """More functions than slots raises; fewer leaves the surplus
+        slots idle."""
         vec = VecMlirRlEnv(2, config=CONFIG)
         with pytest.raises(ValueError):
-            vec.reset([_matmul_func()])
+            vec.reset([_matmul_func()] * 3)
+        obs = vec.reset([_matmul_func()])
+        assert obs.active.tolist() == [True, False]
+        assert obs.masks[1] is None and obs.observation_of(1) is None
+        assert obs.num_loops.tolist() == [3, 0]
+        assert vec.active_indices() == [0]
+        stop = EnvAction(TransformKind.NO_TRANSFORMATION)
+        result = vec.step([stop, None])
+        assert result.dones.tolist() == [True, True]
 
     def test_step_wrong_count_raises(self):
         vec = VecMlirRlEnv(2, config=CONFIG)
@@ -157,6 +168,41 @@ class TestBatchedRolloutEquivalence:
                     step_bat.log_prob, abs=1e-9
                 )
 
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_flat_agent_matches_sequential(self, greedy):
+        """The flat agent collects through the same batched loop: three
+        episodes over VecMlirRlEnv(3) equal three sequential
+        collect_episode runs on identically seeded generators."""
+        agent = FlatActorCritic(CONFIG, np.random.default_rng(3), hidden_size=32)
+        factories = [_matmul_func, _chain_func, _matmul_func]
+        sequential = [
+            collect_episode(
+                MlirRlEnv(config=CONFIG),
+                agent,
+                factory(),
+                np.random.default_rng(100 + index),
+                greedy=greedy,
+            )
+            for index, factory in enumerate(factories)
+        ]
+        batched = collect_episodes_batched(
+            VecMlirRlEnv(3, config=CONFIG),
+            agent,
+            [factory() for factory in factories],
+            [np.random.default_rng(100 + index) for index in range(3)],
+            greedy=greedy,
+        )
+        for seq, bat in zip(sequential, batched):
+            assert [s.action for s in seq.steps] == [s.action for s in bat.steps]
+            assert seq.rewards == bat.rewards
+            assert seq.speedup == pytest.approx(bat.speedup, rel=1e-12)
+            assert seq.executions == bat.executions
+            for step_seq, step_bat in zip(seq.steps, bat.steps):
+                assert np.array_equal(step_seq.mask, step_bat.mask)
+                assert step_seq.log_prob == pytest.approx(
+                    step_bat.log_prob, abs=1e-9
+                )
+
     def test_batched_steps_feed_ppo_evaluate(self):
         """Steps collected batched replay consistently through evaluate."""
         agent = ActorCritic(CONFIG, np.random.default_rng(2), hidden_size=32)
@@ -233,6 +279,29 @@ class TestVectorizedPPO:
         trajectories = trainer.collect()
         assert len(trajectories) == 7
         assert all(len(t.steps) >= 1 for t in trajectories)
+
+    def test_collect_reuses_one_vec_env(self):
+        """Batched collection keeps one in-process vector env across
+        collect() calls, so its slots' mask caches stay warm: the second
+        call's resets of the same function hit."""
+        func = _matmul_func()
+        agent = ActorCritic(CONFIG, np.random.default_rng(0), hidden_size=32)
+        config = PPOConfig(
+            samples_per_iteration=2, minibatch_size=8, num_envs=2
+        )
+        trainer = PPOTrainer(
+            MlirRlEnv(config=CONFIG), agent, lambda r: func, config, seed=0
+        )
+        trainer.collect()
+        vec = trainer._vec_env
+        assert isinstance(vec, VecMlirRlEnv) and vec.num_envs == 2
+        caches = [env._mask_cache for env in vec.envs]
+        hits = [cache.hits for cache in caches]
+        trainer.collect()
+        assert trainer._vec_env is vec
+        assert all(cache.hits > before for cache, before in zip(caches, hits))
+        trainer.close()
+        assert trainer._vec_env is None
 
     def test_vectorized_collection_warms_cache(self):
         rng = np.random.default_rng(0)
