@@ -48,8 +48,8 @@ TRACKED_METRICS: list[tuple[str, tuple[str, ...], str]] = [
     # ratio-tracked).
     ("spec_switch.json", ("switch_vs_single_ratio",), "higher"),
     ("spec_switch.json", ("slowest_vs_default_throughput_ratio",), "higher"),
-    # Dependence analysis: the config-aware mask-cache key's tax on the
-    # warm path (a same-box ratio, machine-portable).
+    # Dependence analysis: the mask-cache lookup's tax over the seed's
+    # warm-hit path (a same-box ratio, machine-portable).
     ("analysis_overhead.json", ("keyed_vs_seed_lookup_ratio",), "lower"),
     # Learned cost model: candidate-scoring throughput vs pricing every
     # candidate on the machine model (same-box ratio), and how much of

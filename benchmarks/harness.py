@@ -1,4 +1,5 @@
-"""What the benches share: paired timing and one scripted policy.
+"""What the benches share: paired timing, one scripted policy and the
+programs it steps.
 
 A ratio of two single samples moves with whatever else the machine is
 doing while one of them runs: a stalled vCPU or a collection of an
@@ -10,6 +11,7 @@ at most.
 
 :func:`random_legal_action` is the scripted policy of the env-stepping
 benches: given the same seed, every bench replays the same actions.
+:func:`scripted_suite` builds the two programs those benches step.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from repro.env import EnvAction, EnvConfig, Observation
+from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.transforms import TransformKind
 
 #: Shortest sample: long enough that the timer and a stray interrupt
@@ -110,3 +113,24 @@ def random_legal_action(
         choices = np.flatnonzero(mask.interchange)
         return EnvAction(kind, pointer_loop=int(rng.choice(choices)))
     return EnvAction(kind)
+
+
+def scripted_suite(
+    mm: tuple[int, int, int] = (64, 32, 16), chain: int = 64
+) -> list[FuncOp]:
+    """Fresh copies of the env-stepping benches' two programs: an
+    ``m x k`` by ``k x n`` matmul (``mm = (m, k, n)``) and an add feeding
+    a relu on ``chain x chain`` tensors."""
+    m, k, n = mm
+    a, b, c = tensor([m, k]), tensor([k, n]), tensor([m, n])
+    matmul_func = FuncOp("mm", [a, b, c])
+    op = matmul_func.append(matmul(a, b, c))
+    matmul_func.returns = [op.result()]
+
+    shape = [chain, chain]
+    x, y = tensor(shape), tensor(shape)
+    chain_func = FuncOp("chain", [x, y])
+    first = chain_func.append(add(x, y, empty(shape)))
+    second = chain_func.append(relu(first.result(), empty(shape)))
+    chain_func.returns = [second.result()]
+    return [matmul_func, chain_func]

@@ -8,11 +8,13 @@ op is analysed once, on its first mask, and memoized after that:
 * ``cold_mask_us_per_op`` — cold ``compute_mask`` on fresh generated
   programs under ``small_config()``, analysis included (reported, not
   gated: absolute microseconds do not carry across machines);
-* ``keyed_vs_seed_lookup_ratio`` — warm mask-cache lookups with the
-  config-extended cache key vs the seed's 5-tuple key, the median over
-  interleaved pairs (``harness.paired_timing``; its IQR is recorded
-  next to it).  This is the warm path: the acceptance bar is <5%
-  regression.
+* ``keyed_vs_seed_lookup_ratio`` — warm ``MaskCache.lookup`` hits
+  against an inline replica of the seed's warm-hit path on the same
+  5-tuple key, the median over interleaved pairs
+  (``harness.paired_timing``; its IQR is recorded next to it).  Each
+  cache owns its config, so the key is the seed's: the ratio prices
+  the lookup method's calls around the one dict probe.  This is the
+  warm path: the acceptance bar is <5% regression.
 """
 
 import os
@@ -62,26 +64,26 @@ def test_analysis_overhead(results_dir):
             )
     cold_mask_seconds = time.perf_counter() - start
 
-    # -- warm cache lookups: config-extended key vs the seed key -------
+    # -- warm cache lookups: MaskCache.lookup vs the seed's hit path ---
     func = programs[0]
     sf = ScheduledFunction(func)
     schedules = [sf.schedule_of(op) for op in func.body]
-    cache = MaskCache()
+    cache = MaskCache(seed_config)
     for schedule in schedules:
-        cache.lookup(schedule, seed_config, has_producer=False)
+        cache.lookup(schedule, has_producer=False)
     rounds = 500 if QUICK else 2000
 
     def warm_keyed():
         for _ in range(rounds):
             for schedule in schedules:
-                cache.lookup(schedule, seed_config, has_producer=False)
+                cache.lookup(schedule, has_producer=False)
 
     # Faithful replica of the seed's warm-hit path: seed 5-tuple key,
     # OrderedDict probe, LRU move, hit counter.
     seed_entries = OrderedDict(
         (
             mask_cache_key(s, False, (), False),
-            cache.lookup(s, seed_config, has_producer=False),
+            cache.lookup(s, has_producer=False),
         )
         for s in schedules
     )
@@ -122,11 +124,11 @@ def test_analysis_overhead(results_dir):
     # Cold analysis is microseconds per op — negligible next to one
     # cost-model execution, and paid once per op thanks to the memo.
     assert result["analysis_us_per_op"] < 20_000
-    # With the per-config suffix memo, the config-aware key adds one
-    # dict probe over the seed's key.  (The <5% masking-throughput bar
-    # lives where masking throughput is measured — the registry-dispatch
-    # bench times compute_mask; the micro-ratio here bounds the cache
-    # key.)  Both gates read medians over the interleaved pairs.
+    # The lookup method adds only call overhead to the seed's hit path.
+    # (The <5% masking-throughput bar lives where masking throughput is
+    # measured — the registry-dispatch bench times compute_mask; the
+    # micro-ratio here bounds the cache lookup.)  Both gates read
+    # medians over the interleaved pairs.
     assert result["keyed_vs_seed_lookup_ratio"] < 1.5
     assert (
         result["warm_lookup_keyed_us"] - result["warm_lookup_seed_us"]

@@ -12,38 +12,20 @@ once the cache is warm.
 
 import numpy as np
 
-from harness import random_legal_action
+from harness import random_legal_action, scripted_suite
 from repro.env import MlirRlEnv, small_config
 from repro.evaluation import write_json
-from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.machine import CachingExecutor
 
 
-def _suite():
-    def mm():
-        a, b, c = tensor([64, 32]), tensor([32, 16]), tensor([64, 16])
-        func = FuncOp("mm", [a, b, c])
-        op = func.append(matmul(a, b, c))
-        func.returns = [op.result()]
-        return func
-
-    def chain():
-        x, y = tensor([64, 64]), tensor([64, 64])
-        func = FuncOp("chain", [x, y])
-        first = func.append(add(x, y, empty([64, 64])))
-        second = func.append(relu(first.result(), empty([64, 64])))
-        func.returns = [second.result()]
-        return func
-
-    return [mm, chain]
-
-
-def _run_episodes(env, factories, episodes, seed):
-    """Per-episode cost-model evaluation counts (nest-level misses)."""
+def _run_episodes(env, episodes, seed):
+    """Per-episode cost-model evaluation counts (nest-level misses), on
+    freshly built programs."""
     rng = np.random.default_rng(seed)
     per_episode = []
     for index in range(episodes):
-        func = factories[index % len(factories)]()
+        funcs = scripted_suite()
+        func = funcs[index % len(funcs)]
         before = env.executor.stats.evaluations
         observation = env.reset(func)
         done = False
@@ -58,13 +40,13 @@ def _run_episodes(env, factories, episodes, seed):
 def test_exec_cache_halves_evaluations(benchmark, results_dir):
     config = small_config(max_episode_steps=64)
     env = MlirRlEnv(config=config, executor=CachingExecutor())
-    factories = _suite()
 
     def run():
-        # Same seed for the cold and warm sweeps: identical action
-        # sequences, so the only difference is cache temperature.
-        cold = _run_episodes(env, factories, len(factories), seed=7)
-        warm = _run_episodes(env, factories, len(factories), seed=7)
+        # One episode per program, with the same seed for the cold and
+        # warm sweeps: identical action sequences, so the only
+        # difference is cache temperature.
+        cold = _run_episodes(env, 2, seed=7)
+        warm = _run_episodes(env, 2, seed=7)
         return cold, warm
 
     cold, warm = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -99,10 +81,9 @@ def test_exec_cache_random_policy_mixture(benchmark, results_dir):
     sub-schedules: total requests stay >= 2x actual evaluations."""
     config = small_config(max_episode_steps=64)
     env = MlirRlEnv(config=config, executor=CachingExecutor())
-    factories = _suite()
 
     def run():
-        return _run_episodes(env, factories, 12, seed=3)
+        return _run_episodes(env, 12, seed=3)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     stats = env.executor.stats

@@ -14,12 +14,11 @@ prefix, so a modest constant tax, not a restart.
 
 import numpy as np
 
-from harness import paired_timing, random_legal_action
+from harness import paired_timing, random_legal_action, scripted_suite
 from repro.env import small_config
 from repro.env.vector import AsyncVecMlirRlEnv
 from repro.evaluation import write_json
 from repro.fault import FaultEvent, FaultPlan
-from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 
 CONFIG = small_config(max_episode_steps=48)
 #: Scripted rollout rounds per sweep: enough to amortize the one-off
@@ -27,20 +26,6 @@ CONFIG = small_config(max_episode_steps=48)
 #: a real training run amortizes it.
 ROUNDS = 30
 PAIRS = 25
-
-
-def _suite():
-    a, b, c = tensor([24, 8]), tensor([8, 16]), tensor([24, 16])
-    mm = FuncOp("mm", [a, b, c])
-    op = mm.append(matmul(a, b, c))
-    mm.returns = [op.result()]
-
-    x, y = tensor([24, 24]), tensor([24, 24])
-    chain = FuncOp("chain", [x, y])
-    first = chain.append(add(x, y, empty([24, 24])))
-    second = chain.append(relu(first.result(), empty([24, 24])))
-    chain.returns = [second.result()]
-    return [mm, chain]
 
 
 def _sweep(vec_env, funcs, rounds, seed):
@@ -74,7 +59,7 @@ def _sweep(vec_env, funcs, rounds, seed):
 
 
 def test_recovery_overhead_within_budget(benchmark, results_dir):
-    funcs = _suite()
+    funcs = scripted_suite(mm=(24, 8, 16), chain=24)
     plan = FaultPlan([FaultEvent("worker", 2, "kill")])
     records: dict[str, list] = {"clean": [], "chaos": []}
 

@@ -22,10 +22,9 @@ import time
 
 import numpy as np
 
-from harness import random_legal_action
+from harness import random_legal_action, scripted_suite
 from repro.env import EnvConfig, MlirRlEnv
 from repro.evaluation import write_json
-from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.machine import CachingExecutor, spec
 
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
@@ -38,25 +37,6 @@ CONFIG = EnvConfig(max_episode_steps=48)
 #: The specs the sweep alternates over — the training machine plus the
 #: most dissimilar registry entries (big-L3 server, narrow-vector edge).
 MACHINES = ("xeon-e5-2680-v4", "epyc-7763-64core", "edge-cortex-a72")
-
-
-def _suite():
-    def mm():
-        a, b, c = tensor([64, 32]), tensor([32, 16]), tensor([64, 16])
-        func = FuncOp("mm", [a, b, c])
-        op = func.append(matmul(a, b, c))
-        func.returns = [op.result()]
-        return func
-
-    def chain():
-        x, y = tensor([64, 64]), tensor([64, 64])
-        func = FuncOp("chain", [x, y])
-        first = func.append(add(x, y, empty([64, 64])))
-        second = func.append(relu(first.result(), empty([64, 64])))
-        func.returns = [second.result()]
-        return func
-
-    return [mm(), chain()]
 
 
 def _sweep(env, funcs, seed, machines=None):
@@ -77,7 +57,7 @@ def _sweep(env, funcs, seed, machines=None):
 
 
 def test_spec_switch_overhead(benchmark, results_dir):
-    funcs = _suite()
+    funcs = scripted_suite()
     env = MlirRlEnv(config=CONFIG, executor=CachingExecutor())
     # Warm every machine's cache entries with the identical action
     # sequences the timed sweeps will replay.

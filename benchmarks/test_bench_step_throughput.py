@@ -19,10 +19,9 @@ import os
 
 import numpy as np
 
-from harness import paired_timing, random_legal_action
+from harness import paired_timing, random_legal_action, scripted_suite
 from repro.env import EnvConfig, MlirRlEnv
 from repro.evaluation import write_json
-from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.machine import CachingExecutor, ExecutionCache
 
 #: Quick mode (the CI smoke job) reduces timing repetitions only — the
@@ -36,25 +35,6 @@ PAIRS = 5 if QUICK else 9
 #: Paper-scale static sizes (N=12, L=14, D=12) — the observation width
 #: the real agent sees, hence an honest measure of ``_observe`` cost.
 CONFIG = EnvConfig(max_episode_steps=64)
-
-
-def _suite():
-    def mm():
-        a, b, c = tensor([64, 32]), tensor([32, 16]), tensor([64, 16])
-        func = FuncOp("mm", [a, b, c])
-        op = func.append(matmul(a, b, c))
-        func.returns = [op.result()]
-        return func
-
-    def chain():
-        x, y = tensor([64, 64]), tensor([64, 64])
-        func = FuncOp("chain", [x, y])
-        first = func.append(add(x, y, empty([64, 64])))
-        second = func.append(relu(first.result(), empty([64, 64])))
-        func.returns = [second.result()]
-        return func
-
-    return [mm(), chain()]
 
 
 def _sweep(env, funcs, seed):
@@ -88,7 +68,7 @@ def _seed_path_env():
 
 
 def test_step_throughput_speedup(benchmark, results_dir):
-    funcs = _suite()
+    funcs = scripted_suite()
     fast = _fast_env()
     seed_path = _seed_path_env()
     # Warm both caches (and the interpreter) outside the timed region.
@@ -173,7 +153,7 @@ def test_step_throughput_speedup(benchmark, results_dir):
 def test_warm_rollout_needs_no_evaluations(benchmark, results_dir):
     """Warm fast-path sweeps resolve every timing at the schedule level:
     zero cost-model evaluations, zero lowering."""
-    funcs = _suite()
+    funcs = scripted_suite()
     env = _fast_env()
     _sweep(env, funcs, seed=7)
 

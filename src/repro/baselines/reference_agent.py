@@ -296,20 +296,8 @@ class BeamSearchAgent(OptimizationMethod):
         while current is not None:
             scheduled = self._optimize_op(scheduled, current)
             visited.add(id(current))
-            current = self._next_op(func, current, visited)
+            current = func.next_to_schedule(current, visited)
         return scheduled
-
-    @staticmethod
-    def _next_op(
-        func: FuncOp, current: LinalgOp, visited: set[int]
-    ) -> LinalgOp | None:
-        for producer in reversed(func.producers_of(current)):
-            if id(producer) not in visited:
-                return producer
-        for op in func.walk_consumers_first():
-            if id(op) not in visited:
-                return op
-        return None
 
     def run(self, func: FuncOp) -> MethodResult:
         scheduled = self.optimize(func)

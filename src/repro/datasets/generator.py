@@ -22,18 +22,14 @@ during sampling, so the smoke replica always has the exact op sequence
 of the full program and the interpreter smoke-run in
 :func:`verify_program` exercises the real emitted structure.
 
-On top of the generator sit :class:`CurriculumSampler` — a picklable
-stage-keyed sampler (stages bound nest depth and op count, Pearl-style
-staged training) usable directly as a PPO trainer sampler and by
-``AsyncVecMlirRlEnv`` fork workers — and :class:`GeneratedDataset`, a
-streaming dataset that produces fresh programs every iteration instead
-of cycling a fixed list.
+On top of the generator sits :class:`CurriculumSampler`, a stage-keyed
+sampler (stages bound nest depth and op count, Pearl-style staged
+training) usable directly as a PPO trainer sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -511,7 +507,7 @@ def verify_program(spec: ProgramSpec, rng: np.random.Generator) -> FuncOp:
 
 
 # ---------------------------------------------------------------------------
-# Samplers and streaming dataset
+# Samplers
 # ---------------------------------------------------------------------------
 
 
@@ -521,10 +517,9 @@ class CurriculumSampler:
     Callable with the trainer's generator (the standard sampler
     protocol).  Draws advance a counter; every ``episodes_per_stage``
     draws the curriculum moves to the next :class:`Stage`, ending at the
-    last.  Instances are picklable (plain data attributes only) so
-    ``AsyncVecMlirRlEnv`` fork workers can carry one, and expose
-    ``state_dict``/``load_state_dict`` so resumed training continues at
-    the exact stage and draw count it stopped at.
+    last.  Instances expose ``state_dict``/``load_state_dict`` so
+    resumed training continues at the exact stage and draw count it
+    stopped at.
     """
 
     def __init__(
@@ -598,39 +593,3 @@ class GeneratedSampler:
 
     def __call__(self, rng: np.random.Generator) -> FuncOp:
         return generate_program(rng, self.stage)
-
-
-class GeneratedDataset:
-    """A streaming dataset of fresh generated programs.
-
-    Unlike the fixed Table-II suites, iterating produces *new* programs
-    each pass (the generator state advances); ``take`` materializes the
-    next ``n``.  Construct with the same seed to reproduce a corpus —
-    including across forked worker processes, since the only state is a
-    seeded numpy generator.
-    """
-
-    def __init__(
-        self,
-        stage: Stage = FULL_STAGE,
-        seed: int = 0,
-        count: int | None = None,
-    ):
-        self.stage = stage
-        self.seed = seed
-        self.count = count
-        self._rng = np.random.default_rng(seed)
-
-    def __iter__(self) -> Iterator[FuncOp]:
-        produced = 0
-        while self.count is None or produced < self.count:
-            yield generate_program(self._rng, self.stage)
-            produced += 1
-
-    def take(self, n: int) -> list[FuncOp]:
-        """The next ``n`` fresh programs."""
-        return [generate_program(self._rng, self.stage) for _ in range(n)]
-
-    def reset(self) -> None:
-        """Rewind the stream to the seed."""
-        self._rng = np.random.default_rng(self.seed)

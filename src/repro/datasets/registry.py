@@ -7,11 +7,10 @@ suites live with their builders: Fig. 5 operators in :mod:`.dnn_ops`,
 Table III models in :mod:`.models`, Table IV applications in
 :mod:`.lqcd`.
 
-Samplers returned here are plain picklable objects (no closures), so
-they can cross the ``AsyncVecMlirRlEnv`` fork boundary, and fixed-list
-samplers hand out :func:`~repro.ir.ops.clone_func` copies — episodes
-never share live op objects, so per-op caches (feature memos, schedule
-state) cannot leak across episodes or workers.
+Samplers returned here are plain picklable objects (no closures), and
+fixed-list samplers hand out :func:`~repro.ir.ops.clone_func` copies —
+episodes never share live op objects, so per-op caches (feature memos,
+schedule state) cannot leak across episodes.
 """
 
 from __future__ import annotations
@@ -57,10 +56,10 @@ class FixedDatasetSampler:
     """Uniform sampling over a fixed function list, with isolation.
 
     Each draw returns a *defensive copy* of the stored function:
-    PR 3's incremental observation path memoizes per-op feature blocks
-    on the op objects themselves, so handing the same ``FuncOp`` to
-    concurrent episodes (or fork workers) would share mutable state
-    across them.  Cloning per draw makes every episode's IR private.
+    the incremental observation path memoizes per-op feature blocks on
+    the op objects themselves, so handing the same ``FuncOp`` to
+    concurrent episodes would share mutable state across them.  Cloning
+    per draw makes every episode's IR private.
     Picklable: holds only the dataset list and no closures.
     """
 

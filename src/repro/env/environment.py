@@ -35,7 +35,6 @@ surfaced under ``StepResult.info["cache"]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -85,14 +84,12 @@ class StepResult:
 class MlirRlEnv:
     """Gym-style environment over linalg functions.
 
-    ``benchmark_provider`` yields the next function on each reset —
-    typically a dataset sampler.  A fixed function can be passed to
-    :meth:`reset` directly.
+    Each episode optimizes the function its caller passes to
+    :meth:`reset` — in training, a sampler's draw.
     """
 
     def __init__(
         self,
-        benchmark_provider: Callable[[], FuncOp] | None = None,
         config: EnvConfig = PAPER_CONFIG,
         executor: Executor | None = None,
         observation_cache: bool = True,
@@ -110,10 +107,9 @@ class MlirRlEnv:
         #: recomputes everything each step (the pre-fast-path behavior,
         #: kept for benchmarking — observations are bit-identical).
         self._observation_cache = observation_cache
-        self._mask_cache = MaskCache() if observation_cache else None
+        self._mask_cache = MaskCache(config) if observation_cache else None
         self.reward_model = RewardModel(self.executor, config.reward_mode)
         self._machine_vec = machine_feature_vector(config, self.executor.spec)
-        self._provider = benchmark_provider
         self._func: FuncOp | None = None
         self.scheduled: ScheduledFunction | None = None
         self._histories: dict[int, ActionHistory] = {}
@@ -134,55 +130,34 @@ class MlirRlEnv:
         fault ends the episode with :data:`FAULT_PENALTY` instead of
         raising.  Any other executor lets it raise, and the unguarded
         path never imports :mod:`repro.fault`."""
-        self._policy = getattr(self.executor, "policy", None)
         self._fault_types: tuple = ()
-        if self._policy is not None:
+        if getattr(self.executor, "policy", None) is not None:
             from ..fault.guard import ExecutionFault
 
             self._fault_types = (ExecutionFault,)
 
     # -- episode control -------------------------------------------------------
 
-    def reset(self, func: FuncOp | None = None) -> Observation:
-        """Start a new episode on ``func`` (or the provider's next one).
+    def reset(self, func: FuncOp) -> Observation:
+        """Start a new episode on ``func``.
 
-        On a guarded executor, a provider-drawn function whose baseline
-        evaluation faults (timeout past retries, quarantined) is
-        replaced by the provider's next draw, up to the guard's
-        ``retries`` redraws; an explicitly given function re-raises —
-        the caller chose it.
+        A baseline evaluation that faults past a guarded executor's
+        retries raises; only a fault during :meth:`step` ends the
+        episode with :data:`FAULT_PENALTY`.
         """
-        provider_drawn = func is None
-        if provider_drawn:
-            if self._provider is None:
-                raise ValueError("no benchmark provider and no function given")
-            func = self._provider()
-        redraws = (
-            self._policy.retries if provider_drawn and self._policy else 0
-        )
-        while True:
-            if not func.body:
-                raise ValueError(f"function @{func.name} has no linalg ops")
-            self._func = func
-            self.scheduled = ScheduledFunction(func)
-            self._histories = {}
-            self._visited = set()
-            self._pointer_placed = []
-            self._episode_steps = 0
-            self._schedule_version = 0
-            self._probe_memo = None
-            self._current = func.body[-1]
-            try:
-                self._reward_state = self.reward_model.start_episode(
-                    self.scheduled
-                )
-            except self._fault_types:
-                if redraws <= 0:
-                    raise
-                redraws -= 1
-                func = self._provider()
-                continue
-            return self._observe()
+        if not func.body:
+            raise ValueError(f"function @{func.name} has no linalg ops")
+        self._func = func
+        self.scheduled = ScheduledFunction(func)
+        self._histories = {}
+        self._visited = set()
+        self._pointer_placed = []
+        self._episode_steps = 0
+        self._schedule_version = 0
+        self._probe_memo = None
+        self._current = func.body[-1]
+        self._reward_state = self.reward_model.start_episode(self.scheduled)
+        return self._observe()
 
     def set_machine(
         self, spec: MachineSpec | str, executor: Executor | None = None
@@ -252,7 +227,6 @@ class MlirRlEnv:
         if self._mask_cache is not None:
             mask = self._mask_cache.lookup(
                 schedule,
-                self.config,
                 has_producer=producer is not None,
                 pointer_placed=tuple(self._pointer_placed),
                 in_pointer_sequence=bool(self._pointer_placed),
@@ -285,18 +259,10 @@ class MlirRlEnv:
         assert self._current is not None and self._func is not None
         self._visited.add(id(self._current))
         self._pointer_placed = []
-        # Prefer the textually-last unvisited producer of the current op.
-        for producer in reversed(self._func.producers_of(self._current)):
-            if id(producer) not in self._visited:
-                self._current = producer
-                return False
-        # Otherwise continue the reverse walk over remaining ops.
-        for op in self._func.walk_consumers_first():
-            if id(op) not in self._visited:
-                self._current = op
-                return False
-        self._current = None
-        return True
+        self._current = self._func.next_to_schedule(
+            self._current, self._visited
+        )
+        return self._current is None
 
     # -- stepping ---------------------------------------------------------------
 

@@ -24,7 +24,6 @@ code; with the default view the masks are the paper's:
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -129,9 +128,8 @@ def mask_cache_key(
     has_producer: bool,
     pointer_placed: tuple[int, ...],
     in_pointer_sequence: bool,
-    config: EnvConfig | None = None,
 ) -> tuple:
-    """The state a mask depends on, as a hashable key.
+    """The state a mask depends on under one config, as a hashable key.
 
     Every legality predicate reads only the op's static properties
     (kind, indexing maps and the dependences analysed from them —
@@ -139,105 +137,53 @@ def mask_cache_key(
     its identity) plus the mutable schedule state captured by
     :meth:`~repro.transforms.scheduled_op.ScheduledOp.state_key` and
     the pointer-sequence arguments.  Equal keys therefore yield equal
-    masks.
-
-    When ``config`` is given, the key also pins the whole configuration
-    (through :func:`_config_token`): masks read its transforms, loop
-    and tile sizes, interchange mode and more, so a cache shared across
-    configs must never hand one config another's mask.  Omitting
-    ``config`` keeps the seed key (per-config caches, the default env
-    setup).
+    masks for one config; a :class:`MaskCache` holds one config's masks.
     """
-    key: tuple = (
+    return (
         schedule.op,
         schedule.state_key(),
         has_producer,
         pointer_placed,
         in_pointer_sequence,
     )
-    if config is None:
-        return key
-    return (*key, _config_token(config))
 
 
-_CONFIG_TOKENS: dict[EnvConfig, int] = {}
-_NEXT_TOKEN = itertools.count()
-
-
-def _config_token(config: EnvConfig) -> int:
-    """A small int standing for ``config``'s value: equal configs share
-    one, different configs never do.
-
-    Mask-cache keys carry it instead of the config, which would hash
-    every field on each lookup.
-    """
-    return _CONFIG_TOKENS.setdefault(config, next(_NEXT_TOKEN))
+#: Masks one :class:`MaskCache` keeps before evicting the least recently
+#: used.
+MASK_CACHE_SIZE = 4096
 
 
 class MaskCache:
-    """Bounded LRU of :func:`compute_mask` results, keyed by
-    :func:`mask_cache_key`.
+    """Bounded LRU of one config's :func:`compute_mask` results, keyed
+    by :func:`mask_cache_key`.
 
     Masks recur heavily: every pointer sub-step, illegal action and
     no-op re-observes an unchanged state, and every episode on the same
-    function starts from the same empty schedules.  Cached masks are
-    shared objects — consumers read them (and copy the arrays they
-    store, as the agent already does), never mutate them.
+    function starts from the same empty schedules.  Each cache serves
+    the one ``config`` it was built with, so it can never hand one
+    config another's mask.  Cached masks are shared objects — consumers
+    read them (and copy the arrays they store, as the agent already
+    does), never mutate them.
     """
 
-    def __init__(self, maxsize: int = 4096):
-        if maxsize < 1:
-            raise ValueError("mask cache maxsize must be positive")
-        self.maxsize = maxsize
+    def __init__(self, config: EnvConfig):
+        self.config = config
         self._entries: OrderedDict[tuple, ActionMask] = OrderedDict()
-        #: id(config) -> (config, :func:`_config_token`).  Holding the
-        #: config object keeps its id stable; memoizing the token keeps
-        #: the per-lookup cost of the config-aware key at one dict probe
-        #: (hashing an EnvConfig per lookup is not free).
-        self._config_memo: dict[int, tuple[EnvConfig, int]] = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _key(
-        self,
-        schedule: ScheduledOp,
-        config: EnvConfig,
-        has_producer: bool,
-        pointer_placed: tuple[int, ...],
-        in_pointer_sequence: bool,
-    ) -> tuple:
-        """Same key as :func:`mask_cache_key` with ``config``, with the
-        config-derived parts memoized per config object."""
-        memo = self._config_memo.get(id(config))
-        if memo is None:
-            memo = (config, _config_token(config))
-            self._config_memo[id(config)] = memo
-        return (
-            schedule.op,
-            schedule.state_key(),
-            has_producer,
-            pointer_placed,
-            in_pointer_sequence,
-            memo[1],
-        )
-
     def lookup(
         self,
         schedule: ScheduledOp,
-        config: EnvConfig,
         has_producer: bool,
         pointer_placed: tuple[int, ...] = (),
         in_pointer_sequence: bool = False,
     ) -> ActionMask:
-        key = self._key(
-            schedule,
-            config,
-            has_producer,
-            pointer_placed,
-            in_pointer_sequence,
+        key = mask_cache_key(
+            schedule, has_producer, pointer_placed, in_pointer_sequence
         )
         mask = self._entries.get(key)
         if mask is not None:
@@ -247,7 +193,7 @@ class MaskCache:
         self.misses += 1
         mask = compute_mask(
             schedule,
-            config,
+            self.config,
             has_producer=has_producer,
             pointer_placed=pointer_placed,
             in_pointer_sequence=in_pointer_sequence,
@@ -258,6 +204,6 @@ class MaskCache:
         for param in mask.params.values():
             param.setflags(write=False)
         self._entries[key] = mask
-        if len(self._entries) > self.maxsize:
+        if len(self._entries) > MASK_CACHE_SIZE:
             self._entries.popitem(last=False)
         return mask

@@ -21,7 +21,7 @@ from __future__ import annotations
 import gc
 import multiprocessing as mp
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -118,21 +118,14 @@ class _VectorEnvBase:
             if observation is not None
         ]
 
-    def _reset_slots(
-        self, funcs: Sequence[FuncOp | None] | None
-    ) -> Sequence[FuncOp | None]:
-        """The functions a reset starts, one per slot from the first
-        (every slot draws from the provider when ``funcs`` is None).
-        Raises when there are more functions than slots; otherwise marks
-        every slot idle until its episode starts."""
-        if funcs is None:
-            funcs = [None] * self.num_envs
+    def _reset_slots(self, funcs: Sequence[FuncOp]) -> None:
+        """Check that ``funcs`` (one per slot from the first) fits the
+        slots, then mark every slot idle until its episode starts."""
         if len(funcs) > self.num_envs:
             raise ValueError(
                 f"{len(funcs)} functions for {self.num_envs} environments"
             )
         self._observations = [None] * self.num_envs
-        return funcs
 
     def _stepped_slots(self, actions: Sequence[EnvAction | None]) -> list[int]:
         """The slots ``actions`` steps: one action per running slot,
@@ -166,7 +159,6 @@ class VecMlirRlEnv(_VectorEnvBase):
     def __init__(
         self,
         num_envs: int,
-        benchmark_provider: Callable[[], FuncOp] | None = None,
         config: EnvConfig = PAPER_CONFIG,
         executor: Executor | None = None,
     ):
@@ -175,8 +167,7 @@ class VecMlirRlEnv(_VectorEnvBase):
         self.config = config
         self.executor = executor or CachingExecutor(config.machine_spec())
         self.envs = [
-            MlirRlEnv(benchmark_provider, config, self.executor)
-            for _ in range(num_envs)
+            MlirRlEnv(config, self.executor) for _ in range(num_envs)
         ]
         self._observations: list[Observation | None] = [None] * num_envs
         self._feature = feature_size(config)
@@ -201,16 +192,10 @@ class VecMlirRlEnv(_VectorEnvBase):
         for env in self.envs:
             env.set_machine(spec, executor=self.executor)
 
-    def reset(
-        self, funcs: Sequence[FuncOp | None] | None = None
-    ) -> VecObservation:
-        """Start new episodes; slots beyond ``len(funcs)`` stay idle.
-
-        ``funcs`` gives one function per started slot (or None entries
-        to draw from the benchmark provider); omitting it draws every
-        slot's episode from the provider.
-        """
-        funcs = self._reset_slots(funcs)
+    def reset(self, funcs: Sequence[FuncOp]) -> VecObservation:
+        """Start one episode per function in ``funcs``, on the slots
+        from the first; slots beyond ``len(funcs)`` stay idle."""
+        self._reset_slots(funcs)
         for index, func in enumerate(funcs):
             self._observations[index] = self.envs[index].reset(func)
         return self._stack()
@@ -290,21 +275,11 @@ class WorkerError(RuntimeError):
 def _async_env_worker(
     conn,
     config: EnvConfig,
-    provider,
-    seed: np.random.SeedSequence,
     machine: MachineSpec,
     policy: GuardPolicy | None,
     warm_entries: Sequence,
 ) -> None:
     """One worker process hosting one :class:`MlirRlEnv`.
-
-    Deterministic per-worker seeding: the global RNGs any benchmark
-    provider might use are seeded from the worker's spawned
-    :class:`~numpy.random.SeedSequence`, so a pool started twice with
-    the same base seed replays the same draws.  Spawned children (not
-    ``base + index`` offsets) keep pools with *different* base seeds on
-    provably disjoint streams — with plain offsets, pools seeded 0 and
-    1 ran workers 1.. and 0.. on the same RNG states.
 
     ``machine`` is the spec the parent executor times on — shipped as a
     value (frozen, picklable) rather than re-resolved here, so machines
@@ -314,22 +289,17 @@ def _async_env_worker(
     gets guarded workers.  ``warm_entries`` seed a respawned worker's
     timing cache (see :meth:`AsyncVecMlirRlEnv._recover`).
     """
-    import random
-
     # A forked worker inherits the parent's objects but never needs to
     # collect them.  Freezing them keeps its garbage collector from
     # touching, and so copying, the parent's pages, which made respawns
     # from a large parent measurably slower.
     gc.freeze()
-    words = seed.generate_state(2)
-    random.seed(int(words[0]))
-    np.random.seed(int(words[1]))
     executor: Executor = CachingExecutor(machine)
     if policy is not None:
         from ..fault.guard import GuardedExecutor
 
         executor = GuardedExecutor(executor, policy)
-    env = MlirRlEnv(provider, config, executor)
+    env = MlirRlEnv(config, executor)
     if warm_entries:
         # Draining first starts the journal, and absorbed entries are
         # never journaled, so later drains ship only what this worker
@@ -366,15 +336,6 @@ def _async_env_worker(
                     conn.send(("ok", None))
                 elif command == "set_machine":
                     env.set_machine(message[1])
-                    conn.send(("ok", None))
-                elif command == "burn_draws":
-                    # Replay: fast-forward the provider's RNG consumption
-                    # past draws a dead predecessor already made, so the
-                    # respawned worker's next reset(None) yields the
-                    # draw the episode actually ran on.
-                    for _ in range(message[1]):
-                        if provider is not None:
-                            provider()
                     conn.send(("ok", None))
                 elif command == "hang":
                     # Test hook: simulate a hung (alive but unresponsive)
@@ -432,7 +393,7 @@ MAX_RESPAWNS = 3
 class _EpisodeLog:
     """Replay record of one in-flight episode on one slot."""
 
-    func: FuncOp | None
+    func: FuncOp
     actions: list[EnvAction] = field(default_factory=list)
 
 
@@ -454,26 +415,21 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
       :meth:`sync_timing_caches` exchanges newly computed entries
       between all workers (and the parent-side ``executor``), which is
       valid because cache keys are identity-free structural tuples;
-    * a ``benchmark_provider`` must be picklable under the chosen start
-      method ("fork" by default, where it need not pickle at all).
+    * the functions :meth:`reset` starts cross the pipe, so they are
+      drawn in the parent and pickled to the workers.
 
     Recovery is replay, not checkpointing.  The pool logs each slot's
     in-flight episode: its reset function and the actions applied so
     far.  A worker that dies, or stays silent for
-    :data:`RECV_TIMEOUT_SECONDS`, is respawned from its *original*
-    ``SeedSequence``, fast-forwards the benchmark-provider draws its
-    predecessor made, and replays the episode prefix; the vector
-    operation that saw the failure is then re-issued.  Every
-    environment step is deterministic given the reset function and the
-    actions, so recovered rollouts are reward-identical to fault-free
-    ones.  After :data:`MAX_RESPAWNS` consecutive failed respawns the
-    pool degrades: the workers are torn down and every slot is replayed
-    into an in-process :class:`MlirRlEnv` on the parent ``executor``.
-    Throughput drops to one process, but the run completes.  (A
-    degraded replay of an episode whose reset drew from a worker-side
-    benchmark provider cannot recover that draw; explicit reset
-    functions, which the batched collectors always pass, replay
-    exactly.)
+    :data:`RECV_TIMEOUT_SECONDS`, is respawned and replays the episode
+    prefix; the vector operation that saw the failure is then
+    re-issued.  Every environment step is deterministic given the reset
+    function and the actions, so recovered rollouts are
+    reward-identical to fault-free ones.  After :data:`MAX_RESPAWNS`
+    consecutive failed respawns the pool degrades: the workers are torn
+    down and every slot is replayed into an in-process
+    :class:`MlirRlEnv` on the parent ``executor``.  Throughput drops to
+    one process, but the run completes.
 
     A worker whose environment raises replies with the error and stays
     in sync, so that is the caller's error, not a worker fault: the
@@ -496,10 +452,8 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
     def __init__(
         self,
         num_envs: int,
-        benchmark_provider: Callable[[], FuncOp] | None = None,
         config: EnvConfig = PAPER_CONFIG,
         executor: Executor | None = None,
-        seed: int = 0,
         start_method: str | None = None,
         plan: FaultPlan | None = None,
     ):
@@ -520,21 +474,13 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         if start_method is None:
             methods = mp.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
-        #: respawn ingredients: a replacement worker is seeded by the
-        #: *original* SeedSequence spawn key (deterministic replay) and
-        #: starts on the executor's *current* machine spec.
         self._context = mp.get_context(start_method)
-        self._provider = benchmark_provider
-        self._worker_seeds = np.random.SeedSequence(seed).spawn(num_envs)
         #: the guard policy of a GuardedExecutor parent, for its workers
         self._policy = getattr(self.executor, "policy", None)
         #: None falls back to the process-wide installed plan (the
         #: ``--chaos`` path) at draw time.
         self._plan = plan
         self._logs: list[_EpisodeLog | None] = [None] * num_envs
-        #: completed provider draws (reset(None) calls) per slot — the
-        #: burn count a replacement worker must fast-forward.
-        self._draws = [0] * num_envs
         self._consecutive_respawn_failures = 0
         self.respawns = 0
         self.injected_kills = 0
@@ -566,8 +512,6 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
             args=(
                 child_conn,
                 self.config,
-                self._provider,
-                self._worker_seeds[index],
                 self.executor.spec,
                 self._policy,
                 warm_entries,
@@ -713,18 +657,11 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
             )
 
     def _replay(self, index: int) -> None:
-        """Bring a freshly spawned worker to the dead one's state.
-
-        Burns provider draws of *completed* resets, then re-runs the
-        in-flight episode (reset + logged actions).  Raises
-        :class:`WorkerError` if the replacement fails mid-replay.
+        """Bring a freshly spawned worker to the dead one's state by
+        re-running the in-flight episode (reset + logged actions).
+        Raises :class:`WorkerError` if the replacement fails mid-replay.
         """
         log = self._logs[index]
-        burn = self._draws[index]
-        if log is not None and log.func is None:
-            burn -= 1  # the replayed reset below re-makes this draw
-        if burn > 0:
-            self._replay_call(index, ("burn_draws", burn))
         if log is None:
             return
         self._replay_call(index, ("reset", log.func))
@@ -774,7 +711,7 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
             self._stop_worker(index)
         local: list[MlirRlEnv] = []
         for log in self._logs:
-            env = MlirRlEnv(self._provider, self.config, self.executor)
+            env = MlirRlEnv(self.config, self.executor)
             if log is not None:
                 env.reset(log.func)
                 for action in log.actions:
@@ -784,14 +721,13 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
 
     # -- VecMlirRlEnv interface -------------------------------------------------
 
-    def reset(
-        self, funcs: Sequence[FuncOp | None] | None = None
-    ) -> VecObservation:
-        """Start new episodes; slots beyond ``len(funcs)`` stay idle."""
-        funcs = self._reset_slots(funcs)
+    def reset(self, funcs: Sequence[FuncOp]) -> VecObservation:
+        """Start one episode per function in ``funcs``, on the slots
+        from the first; slots beyond ``len(funcs)`` stay idle."""
+        self._reset_slots(funcs)
         for index, func in enumerate(funcs):
             # the old episode needs no replay once a new reset is in
-            # flight, so a recovery before its reply only burns draws.
+            # flight: a recovery before its reply re-issues the reset.
             self._logs[index] = None
             self._dispatch(index, ("reset", func))
         for index, func in enumerate(funcs):
@@ -803,8 +739,6 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
                 self._observations[index] = self._local[index].reset(func)
             else:
                 self._observations[index] = _unpack_observation(payload)
-                if func is None:
-                    self._draws[index] += 1
             self._logs[index] = _EpisodeLog(func)
         return self._stack()
 

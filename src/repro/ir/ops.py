@@ -411,6 +411,21 @@ class FuncOp:
         """Operations from last to first — the paper's traversal order."""
         return iter(reversed(self.body))
 
+    def next_to_schedule(
+        self, current: LinalgOp, visited: set[int]
+    ) -> LinalgOp | None:
+        """The op to schedule after ``current`` (paper §III): the
+        textually last producer of ``current`` not yet visited, else the
+        next unvisited op consumers-first; None once every op is.
+        ``visited`` holds the ids of the ops already scheduled."""
+        for producer in reversed(self.producers_of(current)):
+            if id(producer) not in visited:
+                return producer
+        for op in self.walk_consumers_first():
+            if id(op) not in visited:
+                return op
+        return None
+
     def last_producer(self, op: LinalgOp) -> LinalgOp | None:
         """The textually closest preceding producer (paper §III)."""
         producers = self.producers_of(op)

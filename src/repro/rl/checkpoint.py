@@ -326,11 +326,7 @@ def load_training_state(trainer: PPOTrainer, path: str | Path) -> dict:
     ``trainer.train(n)`` continues the run as if it had never stopped.
     Returns the archive's metadata dict.
     """
-    from ..fault.atomic import verify_checksum
-
-    path = Path(path)
-    verify_checksum(path)
-    archive = np.load(path, allow_pickle=False)
+    archive = _verified_load(path)
     if "metadata_json" not in archive:
         raise ValueError(
             f"{path} is not a training state (no metadata); it looks "

@@ -137,7 +137,6 @@ class PPOTrainer:
         self.sampler = sampler
         self.config = config
         self.rng = np.random.default_rng(seed)
-        self._pool_seed = seed
         #: Mixed-hardware training: machine specs visited round-robin,
         #: one per iteration (iteration ``i`` collects on
         #: ``machines[i % len]``, so a resumed run lands on the same
@@ -217,7 +216,6 @@ class PPOTrainer:
                     max(self.config.num_envs, self.config.num_workers),
                     config=self.env.config,
                     executor=self.env.executor,
-                    seed=self._pool_seed,
                 )
         return self._vec_env
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines import BeamSearchAgent
 from repro.env import (
     EnvAction,
     MlirRlEnv,
@@ -69,6 +70,46 @@ class TestEpisodeFlow:
         assert env.current_op is first
         result = env.step(EnvAction(TransformKind.NO_TRANSFORMATION))
         assert result.done
+
+    def test_env_and_beam_search_share_the_traversal_order(self):
+        """Two producers and a side chain: the consumer's last producer
+        comes before the rest of the reverse walk, and the env and beam
+        search visit the ops in the helper's order."""
+        x, y = tensor([16, 16]), tensor([16, 16])
+        func = FuncOp("dag", [x, y])
+        first = func.append(add(x, y, empty([16, 16])))
+        second = func.append(relu(x, empty([16, 16])))
+        side = func.append(add(y, y, empty([16, 16])))
+        side_tail = func.append(relu(side.result(), empty([16, 16])))
+        consumer = func.append(
+            add(first.result(), second.result(), empty([16, 16]))
+        )
+        func.returns = [consumer.result(), side_tail.result()]
+
+        helper, visited = [consumer], {id(consumer)}
+        while (op := func.next_to_schedule(helper[-1], visited)) is not None:
+            helper.append(op)
+            visited.add(id(op))
+        assert helper == [consumer, second, side_tail, side, first]
+
+        env = MlirRlEnv(config=small_config())
+        env.reset(func)
+        stepped = []
+        while env.current_op is not None:
+            stepped.append(env.current_op)
+            env.step(EnvAction(TransformKind.NO_TRANSFORMATION))
+        assert stepped == helper
+
+        agent = BeamSearchAgent(beam_width=1, config=small_config())
+        searched = []
+
+        def record(scheduled, op):
+            searched.append(op)
+            return scheduled
+
+        agent._optimize_op = record
+        agent.optimize(func)
+        assert searched == helper
 
     def test_producer_features_nonzero_in_chain(self):
         env = MlirRlEnv(config=small_config())

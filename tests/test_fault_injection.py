@@ -26,7 +26,6 @@ from repro.env.vector import (
 )
 from repro.fault import (
     CorruptArtifactError,
-    ExecutionFault,
     FaultEvent,
     FaultPlan,
     GuardedExecutor,
@@ -403,7 +402,7 @@ class TestSupervisedRecovery:
         every degraded slot; an unguarded parent guards none."""
         # A baseline that takes tens of milliseconds against a budget of
         # a microsecond: a guarded worker times out (once: retries=0),
-        # and an explicit reset function re-raises the fault.
+        # and its reset re-raises the fault.
         x, y = tensor([24, 24]), tensor([24, 24])
         long_chain = FuncOp("long_chain", [x, y])
         current = x
@@ -491,42 +490,6 @@ def _guarded_episode(func, plan, retries=2, timeout=5.0):
 
 
 class TestGuardedInjection:
-    def test_provider_reset_redraws_up_to_guard_retries(self):
-        """A provider-drawn program whose baseline faults past the
-        guard's retries is redrawn, up to ``policy.retries`` times."""
-        draws = []
-
-        def provider():
-            draws.append(None)
-            return _matmul_func()
-
-        env = MlirRlEnv(
-            provider,
-            CONFIG,
-            GuardedExecutor(CachingExecutor(), GuardPolicy(retries=1)),
-        )
-        # Both attempts of the first draw's baseline fail; the redraw's
-        # baseline succeeds.
-        first_draw_fails = FaultPlan(
-            [FaultEvent("exec", 1, "error"), FaultEvent("exec", 2, "error")]
-        )
-        with chaos(first_draw_fails):
-            env.reset()
-        assert len(draws) == 2
-
-        draws.clear()
-        env = MlirRlEnv(
-            provider,
-            CONFIG,
-            GuardedExecutor(CachingExecutor(), GuardPolicy(retries=0)),
-        )
-        with (
-            chaos(FaultPlan([FaultEvent("exec", 1, "error")])),
-            pytest.raises(ExecutionFault),
-        ):
-            env.reset()
-        assert len(draws) == 1
-
     def test_timeout_with_retry_left_is_reward_identical(self):
         func = _matmul_func()
         clean, _ = _guarded_episode(func, FaultPlan())

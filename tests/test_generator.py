@@ -19,7 +19,6 @@ from repro.datasets import (
     DEFAULT_CURRICULUM,
     FULL_STAGE,
     CurriculumSampler,
-    GeneratedDataset,
     GeneratedSampler,
     Stage,
     generate_program,
@@ -186,28 +185,6 @@ class TestCurriculumSampler:
 
 
 class TestGeneratedDataset:
-    def test_streaming_produces_fresh_programs(self):
-        dataset = GeneratedDataset(FULL_STAGE, seed=0)
-        first = dataset.take(3)
-        second = dataset.take(3)
-        texts = {
-            print_module(ModuleOp([f])) for f in (*first, *second)
-        }
-        assert len(first) == len(second) == 3
-        # fresh draws, not a cycled fixed list
-        assert len(texts) > 3
-
-    def test_reset_rewinds_stream(self):
-        dataset = GeneratedDataset(FULL_STAGE, seed=5)
-        first = [print_module(ModuleOp([f])) for f in dataset.take(4)]
-        dataset.reset()
-        again = [print_module(ModuleOp([f])) for f in dataset.take(4)]
-        assert first == again
-
-    def test_count_bounds_iteration(self):
-        dataset = GeneratedDataset(FULL_STAGE, seed=0, count=5)
-        assert sum(1 for _ in dataset) == 5
-
     def test_generated_sampler_protocol(self):
         sampler = GeneratedSampler(FULL_STAGE)
         func = sampler(np.random.default_rng(0))

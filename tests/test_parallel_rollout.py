@@ -362,47 +362,6 @@ class TestParallelCollection:
         assert baseline == explicit
 
 
-class _GlobalRngProvider:
-    """A picklable provider drawing shapes from the worker's *global*
-    NumPy RNG — exactly the consumer per-worker seeding must protect."""
-
-    def __call__(self):
-        sizes = (8, 12, 16, 24, 32)
-        m = int(sizes[np.random.randint(len(sizes))])
-        n = int(sizes[np.random.randint(len(sizes))])
-        k = int(sizes[np.random.randint(len(sizes))])
-        return _matmul_func(m, n, k)
-
-
-def _first_draw_shapes(seed: int, workers: int) -> list[tuple]:
-    """Each worker's first provider draw (consumer loop extents)."""
-    with AsyncVecMlirRlEnv(
-        workers, _GlobalRngProvider(), config=CONFIG, seed=seed
-    ) as pool:
-        observations = pool.reset()
-        shapes = []
-        for index in range(workers):
-            consumer = observations.consumer[index]
-            # loop-bound block: positions len(op-type onehot) onwards;
-            # the raw vector is enough for equality comparisons.
-            shapes.append(tuple(np.round(consumer, 6)))
-    return shapes
-
-
-class TestWorkerSeeding:
-    def test_same_seed_pools_replay_bit_identically(self):
-        assert _first_draw_shapes(7, 2) == _first_draw_shapes(7, 2)
-
-    def test_adjacent_base_seeds_do_not_overlap_streams(self):
-        """Regression: with ``seed + index`` worker seeding, pool(0)'s
-        worker 1 and pool(1)'s worker 0 shared an RNG stream and drew
-        identical programs.  SeedSequence.spawn keeps them disjoint."""
-        pool_zero = _first_draw_shapes(0, 2)
-        pool_one = _first_draw_shapes(1, 2)
-        assert pool_zero[1] != pool_one[0]
-        assert not set(pool_zero) & set(pool_one)
-
-
 class TestWorkerMachineShipping:
     def test_spawn_workers_get_runtime_registered_machines(self):
         """The parent resolves ``config.machine`` and ships the *spec*

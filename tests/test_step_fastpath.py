@@ -329,9 +329,7 @@ class TestObservationCaches:
         schedule = scheduled.schedule_of(op)
         env = MlirRlEnv(config=CONFIG, executor=CachingExecutor())
         for _ in range(2):  # second lookup is the cached path
-            cached = env._mask_cache.lookup(
-                schedule, CONFIG, has_producer=False
-            )
+            cached = env._mask_cache.lookup(schedule, has_producer=False)
             direct = compute_mask(schedule, CONFIG, has_producer=False)
             np.testing.assert_array_equal(
                 cached.transformation, direct.transformation

@@ -93,6 +93,21 @@ class TestResume:
         ):
             assert np.array_equal(p_full.data, p_resumed.data)
 
+    def test_resume_from_the_path_without_suffix(self, tmp_path):
+        """A state saved to ``run`` lands in ``run.npz`` (np.savez's
+        rule), and ``run`` resumes it, as ``repro train --state run``
+        then ``--resume run`` do."""
+        full_history = _make_trainer().train(2)
+
+        interrupted = _make_trainer()
+        interrupted.train(1)
+        save_training_state(interrupted, tmp_path / "run")
+        assert (tmp_path / "run.npz").exists()
+
+        resumed = _make_trainer()
+        load_training_state(resumed, str(tmp_path / "run"))
+        _assert_histories_identical(full_history, resumed.train(1))
+
     def test_state_roundtrip_restores_everything(self, tmp_path):
         trainer = _make_trainer()
         trainer.train(2)

@@ -381,11 +381,9 @@ class TestEnvIntegration:
 
         config = extended_config("parallelization", max_loops=8)
         rng = np.random.default_rng(0)
-        env = MlirRlEnv(
-            benchmark_provider=lambda: generate_program(rng), config=config
-        )
+        env = MlirRlEnv(config=config)
         table = flat_action_table(config)
-        obs = env.reset()
+        obs = env.reset(generate_program(rng))
         done = False
         while not done:
             mask = obs.mask
