@@ -257,14 +257,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     chaos_plan = None
     if args.chaos:
-        from .fault import FaultPlan, install_plan
+        from .fault import FaultPlan
 
         try:
             chaos_plan = FaultPlan.parse(args.chaos)
         except (ValueError, OSError) as error:
             print(f"cannot parse --chaos plan: {error}")
             return 1
-        install_plan(chaos_plan)
     config = small_config(
         machine=first_machine, machine_features=machine_features
     )
@@ -287,13 +286,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     backend = get_backend(args.action_space, config)
     agent = backend.build_agent(rng, hidden_size=args.hidden)
     executor = CachingExecutor(config.machine_spec())
+    fault_types: tuple = ()
     if chaos_plan is not None:
         # Chaos runs need the guards the injected faults exercise; the
         # guarded fault-free path is bit-identical to the unguarded one,
         # and the rollout pool guards its workers alike.
-        from .fault import GuardedExecutor
+        from .fault import ExecutionFault, GuardedExecutor
 
         executor = GuardedExecutor(executor)
+        fault_types = (ExecutionFault,)
     env = MlirRlEnv(config=config, executor=executor)
     sampler = training_sampler(
         scale=args.scale,
@@ -327,31 +328,48 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if not state_path.endswith(".npz"):
         state_path += ".npz"  # np.savez appends it; keep the printed
         # path and a later --resume consistent with the file on disk
+    if chaos_plan is not None:
+        from .fault import install_plan
+
+        install_plan(chaos_plan)
     try:
         # State is written every iteration, so a killed run keeps a
         # resumable snapshot at its last completed iteration boundary.
         history = trainer.train(args.iterations, state_path=state_path)
+        for stats in history.iterations[resumed_from:]:
+            print(
+                f"iter {stats.iteration:3d}: speedup "
+                f"{stats.geomean_speedup:6.2f}x reward "
+                f"{stats.mean_reward:7.3f} ({stats.wall_seconds:.2f} s, "
+                f"update {stats.update_seconds / stats.wall_seconds:.0%})"
+            )
+        save_agent(agent, args.checkpoint)
+        if not history.iterations:
+            save_training_state(trainer, state_path)
+    except fault_types as error:
+        # A baseline that faults past the guard's retries raises out of
+        # reset (README "Fault tolerance"): name it, and what resumes.
+        if trainer.iteration > resumed_from:
+            saved = f"iteration {trainer.iteration - 1} saved in {state_path}"
+        elif args.resume:
+            saved = f"iteration {resumed_from - 1} saved in {args.resume}"
+        else:
+            saved = "none saved"
+        print(
+            f"training stopped in iteration {trainer.iteration}: {error}; "
+            f"last completed: {saved}"
+        )
+        return 1
     finally:
         trainer.close()
-    for stats in history.iterations[resumed_from:]:
-        print(
-            f"iter {stats.iteration:3d}: speedup "
-            f"{stats.geomean_speedup:6.2f}x reward {stats.mean_reward:7.3f} "
-            f"({stats.wall_seconds:.2f} s, update "
-            f"{stats.update_seconds / stats.wall_seconds:.0%})"
-        )
-    save_agent(agent, args.checkpoint)
-    if not history.iterations:
-        save_training_state(trainer, state_path)
+        if chaos_plan is not None:
+            install_plan(None)
     print(
         f"checkpoint saved to {args.checkpoint} "
         f"(resumable state: {state_path})"
     )
     _print_cache_stats(env.executor)
     if chaos_plan is not None:
-        from .fault import install_plan
-
-        install_plan(None)
         print(chaos_plan.report())
     return 0
 

@@ -30,9 +30,12 @@ This module removes that redundancy with a two-level cache:
   worker processes.
 * :class:`CachingExecutor` — a drop-in :class:`~repro.machine.executor.
   Executor` that consults the schedule level first and falls back to
-  per-nest timings through the nest level.  Cached and uncached results
-  are bit-identical (the cache stores the exact breakdown the model
-  produced).
+  per-nest timings through the nest level.  On that fallback it lowers
+  only the ops whose schedule changed since the function was last timed
+  (:attr:`~repro.transforms.pipeline.ScheduledFunction.nest_memo` keeps
+  each op's nest fingerprint); the others are requested by fingerprint.
+  Cached and uncached results are bit-identical (the cache stores the
+  exact breakdown the model produced).
 * :func:`pooled_executor` — a per-spec shared ``CachingExecutor`` so
   independent consumers (baselines, evaluation runners, vectorized
   environments) share one cache within a process.  Thread-safe; forked
@@ -50,12 +53,19 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from ..ir.ops import FuncOp
+from ..ir.ops import FuncOp, LinalgOp
 from ..transforms.loop_nest import LoweredNest
-from ..transforms.lowering import access_patterns, lower_baseline
+from ..transforms.lowering import (
+    access_patterns,
+    lower_baseline,
+    lower_top_level,
+    top_level_ops,
+)
 from ..transforms.pipeline import ScheduledFunction
 from ..transforms.registry import lowering_hooks
+from ..transforms.scheduled_op import ScheduledOp
 from .executor import ExecutionResult, Executor
 from .spec import XEON_E5_2680_V4, MachineSpec
 from .timing import TimingBreakdown, nest_time
@@ -418,16 +428,24 @@ class ExecutionCache:
             self._journal_overflow = True
 
     def timed(
-        self, spec: MachineSpec, nest: LoweredNest
+        self,
+        spec: MachineSpec,
+        fingerprint: Fingerprint,
+        lower: Callable[[], LoweredNest],
     ) -> TimingBreakdown:
-        """The breakdown of ``nest`` under ``spec``, computed on miss."""
-        key = (spec, nest_fingerprint(nest))
+        """The breakdown under ``spec`` of the nest with ``fingerprint``.
+
+        ``lower`` builds that nest; it is called only on a miss, to time
+        the nest.
+        """
+        key = (spec, fingerprint)
         with self._lock:
             hit = self._levels["nest"].get(key)
             if hit is not None:
                 self.stats.hits += 1
                 return hit
             self.stats.misses += 1
+        nest = lower()
         breakdown = nest_time(
             nest, spec, skip_tensor_ids=nest.fused_skip_ids()
         )
@@ -664,7 +682,56 @@ class CachingExecutor(Executor):
     def _timed_nests(self, nests: list[LoweredNest]) -> ExecutionResult:
         total = TimingBreakdown(0.0, 0.0, 0.0, 0.0, 1)
         for nest in nests:
-            total = total + self.cache.timed(self.spec, nest)
+            total = total + self.cache.timed(
+                self.spec, nest_fingerprint(nest), lambda nest=nest: nest
+            )
+        return ExecutionResult(total.total, total)
+
+    def _timed_op(
+        self,
+        memo: dict[int, tuple[tuple, Fingerprint]],
+        op: LinalgOp,
+        schedule: ScheduledOp | None,
+        token: tuple,
+    ) -> TimingBreakdown:
+        """One top-level op's breakdown: an op whose ``token`` equals its
+        memoized one is requested by the memoized fingerprint and lowered
+        only if that request misses; any other op is lowered,
+        fingerprinted and memoized."""
+        memoized = memo.get(id(op))
+        if memoized is not None and memoized[0] == token:
+            return self.cache.timed(
+                self.spec, memoized[1], lambda: lower_top_level(op, schedule)
+            )
+        nest = lower_top_level(op, schedule)
+        fingerprint = nest_fingerprint(nest)
+        memo[id(op)] = (token, fingerprint)
+        return self.cache.timed(self.spec, fingerprint, lambda: nest)
+
+    def _timed_top_level(
+        self, scheduled: ScheduledFunction, key: tuple
+    ) -> ExecutionResult:
+        """A schedule-level miss, timed one top-level op at a time.
+
+        An op's lowering token is the lowering-hook names and its part of
+        the schedule key, followed by the parts of the producers fused
+        into it, recursively: equal tokens lower to equal nests.  Every
+        top-level nest is requested once, in body order, so the stats and
+        the sum equal those of timing ``scheduled.lower()``.
+        """
+        state, hooks = key[3], key[4]
+        index = {id(op): i for i, op in enumerate(scheduled.func.body)}
+        total = TimingBreakdown(0.0, 0.0, 0.0, 0.0, 1)
+        for op, schedule in top_level_ops(scheduled.func, scheduled._schedules):
+            token = [hooks]
+            members = [] if schedule is None else [schedule]
+            while members:
+                member = members.pop()
+                token.append(state[index[id(member.op)]])
+                members.extend(entry.producer for entry in member.fused)
+            total = total + self._timed_op(
+                scheduled.nest_memo, op, schedule, tuple(token)
+            )
         return ExecutionResult(total.total, total)
 
     def _baseline_key(self, func: FuncOp) -> tuple | None:
@@ -701,13 +768,13 @@ class CachingExecutor(Executor):
 
     def run_scheduled(self, scheduled: ScheduledFunction) -> ExecutionResult:
         key = self._schedule_key(scheduled)
-        if key is not None:
-            hit = self.cache.schedule_get(key)
-            if hit is not None:
-                return ExecutionResult(hit.total, hit)
-        result = self._timed_nests(scheduled.lower())
-        if key is not None:
-            self.cache.schedule_put(key, result.breakdown)
+        if key is None:
+            return self._timed_nests(scheduled.lower())
+        hit = self.cache.schedule_get(key)
+        if hit is not None:
+            return ExecutionResult(hit.total, hit)
+        result = self._timed_top_level(scheduled, key)
+        self.cache.schedule_put(key, result.breakdown)
         return result
 
 

@@ -13,6 +13,8 @@ intermediate traffic vs. redundant recompute).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ..ir.affine import AffineError
 from ..ir.ops import FuncOp, LinalgOp
 from .fusion import intermediate_value_dims, recompute_factor
@@ -110,22 +112,34 @@ def lower_baseline(op: LinalgOp) -> LoweredNest:
     return lower_scheduled_op(ScheduledOp(op))
 
 
+def top_level_ops(
+    func: FuncOp, schedules: dict[int, ScheduledOp]
+) -> Iterator[tuple[LinalgOp, ScheduledOp | None]]:
+    """The ``(op, schedule)`` pairs that lower to top-level nests, in body
+    order.
+
+    Ops fused into a consumer are lowered inside that consumer's nest and
+    skipped.  An op without a schedule pairs with None: it gets the
+    baseline lowering.
+    """
+    for op in func.body:
+        schedule = schedules.get(id(op))
+        if schedule is None or schedule.fused_into is None:
+            yield op, schedule
+
+
+def lower_top_level(op: LinalgOp, schedule: ScheduledOp | None) -> LoweredNest:
+    """Lower one :func:`top_level_ops` pair."""
+    if schedule is None:
+        return lower_baseline(op)
+    return lower_scheduled_op(schedule)
+
+
 def lower_function(
     func: FuncOp, schedules: dict[int, ScheduledOp]
 ) -> list[LoweredNest]:
-    """Lower every non-fused op of a function, in body order.
-
-    Ops fused into a consumer are lowered inside that consumer's nest and
-    skipped at top level.  Ops without a schedule get the baseline
-    lowering.
-    """
-    nests = []
-    for op in func.body:
-        schedule = schedules.get(id(op))
-        if schedule is None:
-            nests.append(lower_baseline(op))
-            continue
-        if schedule.fused_into is not None:
-            continue
-        nests.append(lower_scheduled_op(schedule))
-    return nests
+    """Lower every non-fused op of a function, in body order."""
+    return [
+        lower_top_level(op, schedule)
+        for op, schedule in top_level_ops(func, schedules)
+    ]

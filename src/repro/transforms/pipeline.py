@@ -44,6 +44,11 @@ class ScheduledFunction:
         self._schedules: dict[int, ScheduledOp] = {}
         #: ids of the ops whose entries only this function references
         self._owned: set[int] = set()
+        #: ``id(op) -> (lowering token, nest fingerprint)`` of each
+        #: top-level op, filled by ``CachingExecutor.run_scheduled``.  An
+        #: entry holds for every state with an equal token, so clones
+        #: start empty and neither cloning nor :meth:`adopt` invalidates.
+        self.nest_memo: dict[int, tuple[tuple, tuple]] = {}
 
     def _entry(self, op: LinalgOp) -> ScheduledOp:
         """``op``'s (lazily created) entry, for reading only."""

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.datasets.generator import generate_program
+from repro.env import EnvAction, MlirRlEnv, small_config
 from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.machine import (
     CachingExecutor,
     ExecutionCache,
     Executor,
+    TimingBreakdown,
     laptop_spec,
     nest_fingerprint,
     pooled_executor,
@@ -19,6 +22,7 @@ from repro.transforms import (
     TiledFusion,
     TiledParallelization,
     Tiling,
+    TransformKind,
     Vectorization,
 )
 from repro.transforms.lowering import lower_baseline
@@ -142,6 +146,81 @@ class TestCacheCorrectness:
         # whole-schedule hit (its structural fingerprint matches).
         assert caching.stats.evaluations == 1
         assert caching.stats.hits == 1
+
+
+def _fusing_legal_action(observation, rng, config):
+    """A random mask-legal action that is tiled fusion whenever the mask
+    offers it."""
+    mask = observation.mask
+    legal = mask.legal_transformations()
+    kind = TransformKind.TILED_FUSION
+    if kind not in legal:
+        kind = legal[rng.integers(len(legal))]
+    if kind in (
+        TransformKind.TILING,
+        TransformKind.TILED_PARALLELIZATION,
+        TransformKind.TILED_FUSION,
+    ):
+        indices = tuple(
+            int(rng.integers(config.num_tile_sizes))
+            for _ in range(config.max_loops)
+        )
+        return EnvAction(kind, tile_indices=indices)
+    if kind is TransformKind.INTERCHANGE:
+        choices = np.flatnonzero(mask.interchange)
+        return EnvAction(kind, pointer_loop=int(rng.choice(choices)))
+    return EnvAction(kind)
+
+
+def _lower_everything(executor, scheduled):
+    """``run_scheduled`` without the nest memo: on a schedule-level miss
+    it lowers every op, then requests each nest."""
+    key = executor._schedule_key(scheduled)
+    hit = None if key is None else executor.cache.schedule_get(key)
+    if hit is not None:
+        return hit
+    total = TimingBreakdown(0.0, 0.0, 0.0, 0.0, 1)
+    for nest in scheduled.lower():
+        total = total + executor.cache.timed(
+            executor.spec, nest_fingerprint(nest), lambda nest=nest: nest
+        )
+    if key is not None:
+        executor.cache.schedule_put(key, total)
+    return total
+
+
+class TestNestMemoProperty:
+    """Random episodes on generated programs, fusing whenever offered:
+    after every step the memoized path times like an uncached Executor,
+    bit for bit, and leaves its cache as lowering everything would."""
+
+    @pytest.mark.parametrize("schedule_maxsize", [None, 0])
+    def test_memo_matches_lowering_everything(self, schedule_maxsize):
+        config = small_config()
+        plain = Executor()
+        memoized = CachingExecutor(
+            cache=ExecutionCache(schedule_maxsize=schedule_maxsize)
+        )
+        replica = CachingExecutor(
+            cache=ExecutionCache(schedule_maxsize=schedule_maxsize)
+        )
+        env = MlirRlEnv(config=config, executor=plain)
+        rng = np.random.default_rng(29)
+        fusions = 0
+        for _ in range(16):
+            observation = env.reset(generate_program(rng))
+            done = False
+            while not done:
+                action = _fusing_legal_action(observation, rng, config)
+                fusions += action.kind is TransformKind.TILED_FUSION
+                result = env.step(action)
+                observation, done = result.observation, result.done
+                expected = plain.run_scheduled(env.scheduled).breakdown
+                assert memoized.run_scheduled(env.scheduled).breakdown == expected
+                assert _lower_everything(replica, env.scheduled) == expected
+                assert memoized.stats == replica.stats
+                assert memoized.cache.entries() == replica.cache.entries()
+        assert fusions > 0
 
 
 class TestCacheMechanics:

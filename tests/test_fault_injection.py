@@ -743,6 +743,33 @@ class TestCliChaosFlag:
         assert "fault plan" in out  # the fired/pending report
         assert active_plan() is None  # uninstalled after the run
 
+    def test_faulted_baseline_reports_one_line(self, tmp_path, capsys):
+        """A baseline that faults past every retry stops training with
+        one line naming the program, and leaves no plan installed."""
+        from repro.cli import main
+
+        code = main(
+            [
+                "train",
+                "--iterations",
+                "1",
+                "--samples",
+                "2",
+                "--hidden",
+                "8",
+                "--chaos",
+                "exec.error@1,exec.error@2,exec.error@3",
+                "--checkpoint",
+                str(tmp_path / "agent.npz"),
+            ]
+        )
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("training stopped in iteration 0: ")
+        assert "baseline @" in lines[0]
+        assert active_plan() is None
+
     def test_train_rejects_bad_chaos_spec(self, capsys):
         from repro.cli import main
 

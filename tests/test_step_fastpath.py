@@ -14,6 +14,7 @@ import threading
 import numpy as np
 
 import repro.machine.service as service
+import repro.transforms.lowering as lowering
 import repro.transforms.pipeline as pipeline
 from repro.env import EnvAction, MlirRlEnv, small_config
 from repro.env.features import feature_size, op_features, zero_features
@@ -30,6 +31,7 @@ from repro.machine import (
 from repro.transforms import (
     Interchange,
     ScheduledFunction,
+    TiledFusion,
     TiledParallelization,
     Tiling,
     TransformKind,
@@ -56,6 +58,16 @@ def _chain_func():
     return func, first, second
 
 
+def _three_op_chain():
+    x, y = tensor([32, 32]), tensor([32, 32])
+    func = FuncOp("chain3", [x, y])
+    first = func.append(add(x, y, empty([32, 32])))
+    second = func.append(relu(first.result(), empty([32, 32])))
+    third = func.append(add(second.result(), y, empty([32, 32])))
+    func.returns = [third.result()]
+    return func, (first, second, third)
+
+
 SCHEDULES = [
     [],
     [Tiling((8, 8, 0))],
@@ -65,14 +77,21 @@ SCHEDULES = [
 
 
 class _Counters:
-    """Monkeypatched call counters for the lowering/fingerprint layer."""
+    """Monkeypatched call counters for the lowering/fingerprint layer.
+
+    ``lower_scheduled_op`` is counted where ``lowering`` binds it, so it
+    sees every nest lowered by any path: ``lower_function``, the
+    baseline lowering and a fused producer each lower through it.
+    """
 
     def __init__(self, monkeypatch):
         self.lower_function = 0
         self.lower_baseline = 0
+        self.lower_scheduled_op = 0
         self.nest_fingerprint = 0
         real_lf = pipeline.lower_function
         real_lb = service.lower_baseline
+        real_lso = lowering.lower_scheduled_op
         real_fp = service.nest_fingerprint
 
         def lf(*args, **kwargs):
@@ -83,17 +102,27 @@ class _Counters:
             self.lower_baseline += 1
             return real_lb(*args, **kwargs)
 
+        def lso(*args, **kwargs):
+            self.lower_scheduled_op += 1
+            return real_lso(*args, **kwargs)
+
         def fp(*args, **kwargs):
             self.nest_fingerprint += 1
             return real_fp(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "lower_function", lf)
         monkeypatch.setattr(service, "lower_baseline", lb)
+        monkeypatch.setattr(lowering, "lower_scheduled_op", lso)
         monkeypatch.setattr(service, "nest_fingerprint", fp)
 
     @property
     def total(self):
-        return self.lower_function + self.lower_baseline + self.nest_fingerprint
+        return (
+            self.lower_function
+            + self.lower_baseline
+            + self.lower_scheduled_op
+            + self.nest_fingerprint
+        )
 
 
 class TestScheduleKeyedCache:
@@ -206,6 +235,54 @@ class TestScheduleKeyedCache:
         assert len(cache._updates) == 2  # one nest + one schedule key
 
 
+class TestNestMemo:
+    """A schedule-level miss lowers only the ops whose schedule changed."""
+
+    def test_miss_lowers_only_the_changed_op(self, monkeypatch):
+        func, ops = _three_op_chain()
+        scheduled = ScheduledFunction(func)
+        executor = CachingExecutor()
+        executor.run_scheduled(scheduled)
+        scheduled.apply(ops[-1], Tiling((8, 8)))
+        counters = _Counters(monkeypatch)
+        result = executor.run_scheduled(scheduled)
+        assert counters.lower_scheduled_op == 1
+        assert counters.nest_fingerprint == 1
+        assert result.breakdown == Executor().run_scheduled(scheduled).breakdown
+
+    def test_tiled_fusion_relowers_the_consumer(self, monkeypatch):
+        func, _, second = _chain_func()
+        scheduled = ScheduledFunction(func)
+        executor = CachingExecutor()
+        executor.run_scheduled(scheduled)
+        scheduled.apply(second, TiledFusion((8, 8)))
+        requests = executor.stats.requests
+        counters = _Counters(monkeypatch)
+        result = executor.run_scheduled(scheduled)
+        # The consumer, and the producer inside the consumer's nest; the
+        # producer's own top-level nest is gone.
+        assert counters.lower_scheduled_op == 2
+        assert counters.nest_fingerprint == 1
+        assert executor.stats.requests == requests + 1 + 1
+        assert result.breakdown == Executor().run_scheduled(scheduled).breakdown
+
+    def test_evicted_fingerprint_is_lowered_again(self, monkeypatch):
+        func, first, second = _chain_func()
+        scheduled = ScheduledFunction(func)
+        executor = CachingExecutor(cache=ExecutionCache(maxsize=1))
+        executor.run_scheduled(scheduled)  # the relu nest evicts the add's
+        assert executor.stats.requests == 1 + 2
+        scheduled.apply(second, Tiling((8, 8)))
+        counters = _Counters(monkeypatch)
+        result = executor.run_scheduled(scheduled)
+        # The add's token is unchanged but its nest entry is gone: it is
+        # lowered again, not re-fingerprinted.
+        assert counters.lower_scheduled_op == 2
+        assert counters.nest_fingerprint == 1
+        assert executor.stats.requests == 2 * (1 + 2)
+        assert result.breakdown == Executor().run_scheduled(scheduled).breakdown
+
+
 class TestWarmEnvStep:
     """The acceptance regression: a warm-cache ``env.step`` never lowers."""
 
@@ -246,6 +323,7 @@ class TestWarmEnvStep:
         warm = self._run_episode(env, func, seed=11)
         assert counters.lower_function == 0
         assert counters.lower_baseline == 0
+        assert counters.lower_scheduled_op == 0
         assert counters.nest_fingerprint == 0
         assert warm == cold  # bit-identical rewards on the fast path
 
