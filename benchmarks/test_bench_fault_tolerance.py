@@ -16,7 +16,7 @@ import numpy as np
 
 from harness import paired_timing, random_legal_action, scripted_suite
 from repro.env import small_config
-from repro.env.vector import AsyncVecMlirRlEnv
+from repro.env.vector import VecMlirRlEnv
 from repro.evaluation import write_json
 from repro.fault import FaultEvent, FaultPlan
 
@@ -64,8 +64,8 @@ def test_recovery_overhead_within_budget(benchmark, results_dir):
     records: dict[str, list] = {"clean": [], "chaos": []}
 
     def run():
-        with AsyncVecMlirRlEnv(2, config=CONFIG) as clean, \
-                AsyncVecMlirRlEnv(2, config=CONFIG, plan=plan) as chaotic:
+        with VecMlirRlEnv(2, config=CONFIG, processes=True) as clean, \
+                VecMlirRlEnv(2, config=CONFIG, processes=True, plan=plan) as chaotic:
             # Untimed warm-up: pool spin-up and first-touch costs land
             # outside the measured sweeps for both pools alike.
             _sweep(clean, funcs, 1, seed=99)

@@ -34,16 +34,10 @@ from .history import ActionHistory
 from .masking import ActionMask, MaskCache, compute_mask, mask_cache_key
 from .reward import RewardModel, RewardState
 from .spaces import Box, Discrete, MultiDiscrete, Space
-from .vector import (
-    AsyncVecMlirRlEnv,
-    VecMlirRlEnv,
-    VecObservation,
-    VecStepResult,
-)
+from .vector import VecMlirRlEnv, VecObservation, VecStepResult
 
 __all__ = [
     "ActionHistory",
-    "AsyncVecMlirRlEnv",
     "MaskCache",
     "mask_cache_key",
     "ActionMask",

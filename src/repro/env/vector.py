@@ -1,19 +1,20 @@
 """Vectorized environment: N independent episodes, stacked observations.
 
 :class:`VecMlirRlEnv` steps N :class:`~repro.env.environment.MlirRlEnv`
-instances in lockstep and exposes their observations as stacked
+slots in lockstep and exposes their observations as stacked
 ``(B, feature)`` arrays, so a batched policy can run one network forward
-pass per vector step instead of one per environment.  All member
-environments share a single :class:`~repro.machine.service.
+pass per vector step instead of one per environment.  The slots run
+in-process on one shared :class:`~repro.machine.service.
 CachingExecutor`, so identical schedules across episodes (baselines
-above all) are timed once.
+above all) are timed once, or, with ``processes=True``, in a pool of
+worker processes that survives dead and hung workers.
 
 Semantics are deliberately plain: no auto-reset.  An episode that
 finishes keeps reporting ``done`` and a zeroed observation row until the
 whole vector is reset; callers pass ``None`` as the action for finished
 slots.  This makes a vectorized rollout with per-env policy generators
 bit-equivalent to N sequential single-env rollouts (see
-``tests/test_vec_env.py``).
+``tests/test_vec_env.py``), in either mode.
 """
 
 from __future__ import annotations
@@ -77,186 +78,6 @@ class VecStepResult:
     infos: list[dict] = field(default_factory=list)
 
 
-class _VectorEnvBase:
-    """Shared slot bookkeeping of the in-process and async vector envs.
-
-    Subclasses own ``self._observations`` (one ``Observation | None``
-    per slot) and ``self._feature``; stacking and activity queries are
-    identical across transports and live here so the two environments
-    cannot drift apart.
-    """
-
-    _observations: list[Observation | None]
-    _feature: int
-
-    @property
-    def num_envs(self) -> int:
-        raise NotImplementedError
-
-    def _stack(self) -> VecObservation:
-        consumer = np.zeros((self.num_envs, self._feature))
-        producer = np.zeros((self.num_envs, self._feature))
-        masks: list[ActionMask | None] = []
-        active = np.zeros(self.num_envs, dtype=bool)
-        num_loops = np.zeros(self.num_envs, dtype=np.int64)
-        for index, observation in enumerate(self._observations):
-            if observation is None:
-                masks.append(None)
-                continue
-            consumer[index] = observation.consumer
-            producer[index] = observation.producer
-            masks.append(observation.mask)
-            active[index] = True
-            num_loops[index] = observation.num_loops
-        return VecObservation(consumer, producer, masks, active, num_loops)
-
-    def active_indices(self) -> list[int]:
-        """Indices of environments whose episodes are still running."""
-        return [
-            index
-            for index, observation in enumerate(self._observations)
-            if observation is not None
-        ]
-
-    def _reset_slots(self, funcs: Sequence[FuncOp]) -> None:
-        """Check that ``funcs`` (one per slot from the first) fits the
-        slots, then mark every slot idle until its episode starts."""
-        if len(funcs) > self.num_envs:
-            raise ValueError(
-                f"{len(funcs)} functions for {self.num_envs} environments"
-            )
-        self._observations = [None] * self.num_envs
-
-    def _stepped_slots(self, actions: Sequence[EnvAction | None]) -> list[int]:
-        """The slots ``actions`` steps: one action per running slot,
-        ``None`` for each finished one.  Raises before any slot is
-        stepped, so a bad batch leaves every episode where it was."""
-        if len(actions) != self.num_envs:
-            raise ValueError(
-                f"{len(actions)} actions for {self.num_envs} environments"
-            )
-        stepped = []
-        for index, action in enumerate(actions):
-            if self._observations[index] is not None:
-                if action is None:
-                    raise ValueError(f"environment {index} expects an action")
-                stepped.append(index)
-            elif action is not None:
-                raise ValueError(
-                    f"environment {index} already finished its episode"
-                )
-        return stepped
-
-
-class VecMlirRlEnv(_VectorEnvBase):
-    """N independent episodes stepped as one batch.
-
-    ``executor`` defaults to a fresh shared :class:`CachingExecutor`;
-    pass :func:`repro.machine.service.pooled_executor` to share timings
-    with other consumers in the process.
-    """
-
-    def __init__(
-        self,
-        num_envs: int,
-        config: EnvConfig = PAPER_CONFIG,
-        executor: Executor | None = None,
-    ):
-        if num_envs < 1:
-            raise ValueError("need at least one environment")
-        self.config = config
-        self.executor = executor or CachingExecutor(config.machine_spec())
-        self.envs = [
-            MlirRlEnv(config, self.executor) for _ in range(num_envs)
-        ]
-        self._observations: list[Observation | None] = [None] * num_envs
-        self._feature = feature_size(config)
-
-    @property
-    def num_envs(self) -> int:
-        return len(self.envs)
-
-    def set_machine(self, spec: MachineSpec | str) -> None:
-        """Retarget every member environment to a machine (spec or
-        registry name).
-
-        One fresh shared executor (keeping the current cache — entries
-        are spec-keyed) replaces the old one in all slots, preserving
-        the cross-episode timing sharing the vector env exists for.
-        Call between episodes, like :meth:`MlirRlEnv.set_machine`.
-        """
-        from ..machine.registry import spec as resolve_machine
-
-        spec = resolve_machine(spec)
-        self.executor = retargeted_executor(self.executor, spec)
-        for env in self.envs:
-            env.set_machine(spec, executor=self.executor)
-
-    def reset(self, funcs: Sequence[FuncOp]) -> VecObservation:
-        """Start one episode per function in ``funcs``, on the slots
-        from the first; slots beyond ``len(funcs)`` stay idle."""
-        self._reset_slots(funcs)
-        for index, func in enumerate(funcs):
-            self._observations[index] = self.envs[index].reset(func)
-        return self._stack()
-
-    def step(self, actions: Sequence[EnvAction | None]) -> VecStepResult:
-        """Apply one action per environment (None for finished slots)."""
-        stepped = self._stepped_slots(actions)
-        rewards = np.zeros(self.num_envs)
-        dones = np.ones(self.num_envs, dtype=bool)  # finished slots stay done
-        infos: list[dict] = [{} for _ in range(self.num_envs)]
-        for index in stepped:
-            result = self.envs[index].step(actions[index])
-            self._observations[index] = result.observation
-            rewards[index] = result.reward
-            dones[index] = result.done
-            infos[index] = result.info
-        return VecStepResult(self._stack(), rewards, dones, infos)
-
-    def final_speedup(self, index: int) -> float:
-        """Final speedup of slot ``index`` (see MlirRlEnv.final_speedup)."""
-        return self.envs[index].final_speedup()
-
-    def sync_timing_caches(self) -> int:
-        """Nothing to exchange: every slot times on the one shared
-        executor.  Returns 0, like a degraded pool."""
-        return 0
-
-    #: in-process slots hold no processes or pipes, so ``close`` has
-    #: nothing to shut; both exist so callers treat either vector env
-    #: alike
-    closed = False
-
-    def close(self) -> None:
-        """No-op (see :attr:`closed`)."""
-
-
-# ---------------------------------------------------------------------------
-# Multiprocessing vector environment
-# ---------------------------------------------------------------------------
-
-
-def _pack_observation(observation: Observation | None):
-    if observation is None:
-        return None
-    return (
-        observation.consumer,
-        observation.producer,
-        observation.mask,
-        observation.num_loops,
-    )
-
-
-def _unpack_observation(payload) -> Observation | None:
-    if payload is None:
-        return None
-    consumer, producer, mask, num_loops = payload
-    return Observation(
-        consumer=consumer, producer=producer, mask=mask, num_loops=num_loops
-    )
-
-
 class WorkerError(RuntimeError):
     """A worker process died, hung, or raised.
 
@@ -272,7 +93,7 @@ class WorkerError(RuntimeError):
         self.alive = alive
 
 
-def _async_env_worker(
+def _env_worker(
     conn,
     config: EnvConfig,
     machine: MachineSpec,
@@ -287,7 +108,8 @@ def _async_env_worker(
     interpreter only has the built-in registry.
     ``policy`` is the parent executor's guard policy: a guarded parent
     gets guarded workers.  ``warm_entries`` seed a respawned worker's
-    timing cache (see :meth:`AsyncVecMlirRlEnv._recover`).
+    timing cache (see :meth:`VecMlirRlEnv._recover`).  Replies carry
+    the :class:`Observation` and :class:`StepResult` the env returned.
     """
     # A forked worker inherits the parent's objects but never needs to
     # collect them.  Freezing them keeps its garbage collector from
@@ -312,21 +134,9 @@ def _async_env_worker(
             command = message[0]
             try:
                 if command == "reset":
-                    observation = env.reset(message[1])
-                    conn.send(("ok", _pack_observation(observation)))
+                    conn.send(("ok", env.reset(message[1])))
                 elif command == "step":
-                    result = env.step(message[1])
-                    conn.send(
-                        (
-                            "ok",
-                            (
-                                _pack_observation(result.observation),
-                                result.reward,
-                                result.done,
-                                result.info,
-                            ),
-                        )
-                    )
+                    conn.send(("ok", env.step(message[1])))
                 elif command == "final_speedup":
                     conn.send(("ok", env.final_speedup()))
                 elif command == "cache_drain":
@@ -397,19 +207,23 @@ class _EpisodeLog:
     actions: list[EnvAction] = field(default_factory=list)
 
 
-class AsyncVecMlirRlEnv(_VectorEnvBase):
-    """The :class:`VecMlirRlEnv` interface over a multiprocessing pool
-    that survives dead and hung workers.
+class VecMlirRlEnv:
+    """N independent episodes stepped as one batch.
 
-    Each slot is an :class:`MlirRlEnv` living in its own worker process;
-    :meth:`step` dispatches every active slot's action before collecting
-    any reply, so environments execute their (lowering/cost-model-bound)
-    steps concurrently while the batched policy forward stays in the
-    parent.  Drop-in for the batched collectors: same stacked
-    observations, same no-auto-reset semantics, same validation.
+    ``executor`` defaults to a fresh shared :class:`CachingExecutor`;
+    pass :func:`repro.machine.service.pooled_executor` to share timings
+    with other consumers in the process.
 
-    Differences from the in-process vector env, by necessity of the
-    process boundary:
+    By default every slot is an in-process :class:`MlirRlEnv` on that
+    one executor (:attr:`envs`).  With ``processes=True`` each slot's
+    env lives in its own worker process instead (``start_method``
+    picks how workers start; fork where available), and :meth:`step`
+    dispatches every active slot's action before collecting any reply,
+    so environments execute their (lowering/cost-model-bound) steps
+    concurrently while the batched policy forward stays in the parent.
+    Observations, no-auto-reset semantics and validation are the same
+    in both modes, with two differences by necessity of the process
+    boundary:
 
     * each worker owns a private timing cache;
       :meth:`sync_timing_caches` exchanges newly computed entries
@@ -418,18 +232,19 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
     * the functions :meth:`reset` starts cross the pipe, so they are
       drawn in the parent and pickled to the workers.
 
-    Recovery is replay, not checkpointing.  The pool logs each slot's
-    in-flight episode: its reset function and the actions applied so
-    far.  A worker that dies, or stays silent for
-    :data:`RECV_TIMEOUT_SECONDS`, is respawned and replays the episode
-    prefix; the vector operation that saw the failure is then
-    re-issued.  Every environment step is deterministic given the reset
-    function and the actions, so recovered rollouts are
+    Recovery is replay, not checkpointing.  While workers serve the
+    slots, the env logs each slot's in-flight episode: its reset
+    function and the actions applied so far.  A worker that dies, or
+    stays silent for :data:`RECV_TIMEOUT_SECONDS`, is respawned and
+    replays the episode prefix; the vector operation that saw the
+    failure is then re-issued.  Every environment step is deterministic
+    given the reset function and the actions, so recovered rollouts are
     reward-identical to fault-free ones.  After :data:`MAX_RESPAWNS`
     consecutive failed respawns the pool degrades: the workers are torn
-    down and every slot is replayed into an in-process
-    :class:`MlirRlEnv` on the parent ``executor``.  Throughput drops to
-    one process, but the run completes.
+    down and every slot is replayed into an in-process env on the
+    parent ``executor``, so the env goes on exactly as one built
+    without processes.  Throughput drops to one process, but the run
+    completes.
 
     A worker whose environment raises replies with the error and stays
     in sync, so that is the caller's error, not a worker fault: the
@@ -440,13 +255,14 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
     A :class:`~repro.fault.guard.GuardedExecutor` as ``executor`` makes
     every worker guarded by its :class:`~repro.fault.guard.GuardPolicy`.
     Fault injection: one ``"worker"``-site draw of ``plan`` (default:
-    the installed plan) per vector step, where a scheduled ``kill``
-    terminates a stepping worker with ``Process.kill``; a
-    ``"respawn"``-site ``fail`` makes one respawn attempt fail.
+    the installed plan) per vector step while workers serve the slots,
+    where a scheduled ``kill`` terminates a stepping worker with
+    ``Process.kill``; a ``"respawn"``-site ``fail`` makes one respawn
+    attempt fail.
 
     Workers are daemonic: an abandoned pool dies with the parent.  Call
-    :meth:`close` (or use the pool as a context manager) for an orderly
-    shutdown.
+    :meth:`close` (or use the env as a context manager) for an orderly
+    shutdown.  A closed env rejects :meth:`reset` in both modes.
     """
 
     def __init__(
@@ -454,11 +270,36 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         num_envs: int,
         config: EnvConfig = PAPER_CONFIG,
         executor: Executor | None = None,
+        processes: bool = False,
         start_method: str | None = None,
         plan: FaultPlan | None = None,
     ):
         if num_envs < 1:
             raise ValueError("need at least one environment")
+        self.config = config
+        #: the executor in-process slots share; with workers, also the
+        #: parent-side merge target for :meth:`sync_timing_caches` and
+        #: the machine every worker times on (its spec)
+        self.executor = executor or CachingExecutor(config.machine_spec())
+        #: None falls back to the process-wide installed plan (the
+        #: ``--chaos`` path) at draw time.
+        self._plan = plan
+        self._observations: list[Observation | None] = [None] * num_envs
+        self._feature = feature_size(config)
+        self._logs: list[_EpisodeLog | None] = [None] * num_envs
+        self._consecutive_respawn_failures = 0
+        self.respawns = 0
+        self.injected_kills = 0
+        self._closed = False
+        self._parents = []
+        self._processes = []
+        #: the in-process slots, or None while workers serve them
+        self.envs: list[MlirRlEnv] | None = None
+        if not processes:
+            self.envs = [
+                MlirRlEnv(config, self.executor) for _ in range(num_envs)
+            ]
+            return
         # A worker's first action mask imports repro.analysis lazily
         # (the import breaks a registry <-> verifier cycle), and the
         # parent never computes a mask.  Importing it here, before the
@@ -466,29 +307,12 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         # module instead of paying ~18 ms to import it again.
         from .. import analysis  # noqa: F401
 
-        self.config = config
-        #: parent-side merge target for :meth:`sync_timing_caches`, the
-        #: executor degraded slots run on, and the machine every worker
-        #: times on (its spec, like an in-process env's)
-        self.executor = executor or CachingExecutor(config.machine_spec())
         if start_method is None:
             methods = mp.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
         self._context = mp.get_context(start_method)
         #: the guard policy of a GuardedExecutor parent, for its workers
         self._policy = getattr(self.executor, "policy", None)
-        #: None falls back to the process-wide installed plan (the
-        #: ``--chaos`` path) at draw time.
-        self._plan = plan
-        self._logs: list[_EpisodeLog | None] = [None] * num_envs
-        self._consecutive_respawn_failures = 0
-        self.respawns = 0
-        self.injected_kills = 0
-        #: in-process replacements of every slot once the pool degraded
-        self._local: list[MlirRlEnv] | None = None
-        self._closed = False
-        self._parents = []
-        self._processes = []
         if self._context.get_start_method() == "fork":
             # Dead cycles left by earlier work would be inherited by
             # every worker; collect them once so _trim_heap can return
@@ -498,8 +322,6 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
             parent_conn, process = self._spawn_worker(index)
             self._parents.append(parent_conn)
             self._processes.append(process)
-        self._observations: list[Observation | None] = [None] * num_envs
-        self._feature = feature_size(config)
 
     def _spawn_worker(self, index: int, warm_entries: Sequence = ()):
         """Start worker ``index`` with ``warm_entries`` in its timing
@@ -508,7 +330,7 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
             _trim_heap()
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
-            target=_async_env_worker,
+            target=_env_worker,
             args=(
                 child_conn,
                 self.config,
@@ -524,12 +346,65 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
 
     @property
     def num_envs(self) -> int:
-        return len(self._processes)
+        return len(self._observations)
 
     @property
     def degraded(self) -> bool:
-        """True once every slot runs in-process on the parent executor."""
-        return self._local is not None
+        """True once a pool lost its workers: every slot then runs
+        in-process on the parent executor.  False for an env built
+        without processes."""
+        return self.envs is not None and bool(self._processes)
+
+    # -- slot bookkeeping -------------------------------------------------------
+
+    def _stack(self) -> VecObservation:
+        consumer = np.zeros((self.num_envs, self._feature))
+        producer = np.zeros((self.num_envs, self._feature))
+        masks: list[ActionMask | None] = []
+        active = np.zeros(self.num_envs, dtype=bool)
+        num_loops = np.zeros(self.num_envs, dtype=np.int64)
+        for index, observation in enumerate(self._observations):
+            if observation is None:
+                masks.append(None)
+                continue
+            consumer[index] = observation.consumer
+            producer[index] = observation.producer
+            masks.append(observation.mask)
+            active[index] = True
+            num_loops[index] = observation.num_loops
+        return VecObservation(consumer, producer, masks, active, num_loops)
+
+    def _reset_slots(self, funcs: Sequence[FuncOp]) -> None:
+        """Check that the env is open and that ``funcs`` (one per slot
+        from the first) fits the slots, then mark every slot idle until
+        its episode starts."""
+        if self._closed:
+            raise RuntimeError("vector environment is closed")
+        if len(funcs) > self.num_envs:
+            raise ValueError(
+                f"{len(funcs)} functions for {self.num_envs} environments"
+            )
+        self._observations = [None] * self.num_envs
+
+    def _stepped_slots(self, actions: Sequence[EnvAction | None]) -> list[int]:
+        """The slots ``actions`` steps: one action per running slot,
+        ``None`` for each finished one.  Raises before any slot is
+        stepped, so a bad batch leaves every episode where it was."""
+        if len(actions) != self.num_envs:
+            raise ValueError(
+                f"{len(actions)} actions for {self.num_envs} environments"
+            )
+        stepped = []
+        for index, action in enumerate(actions):
+            if self._observations[index] is not None:
+                if action is None:
+                    raise ValueError(f"environment {index} expects an action")
+                stepped.append(index)
+            elif action is not None:
+                raise ValueError(
+                    f"environment {index} already finished its episode"
+                )
+        return stepped
 
     # -- worker protocol --------------------------------------------------------
 
@@ -537,7 +412,7 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         """Send ``message`` to worker ``index``; raises
         :class:`WorkerError` on a broken pipe (worker already dead)."""
         if self._closed:
-            raise RuntimeError("async vector environment is closed")
+            raise RuntimeError("vector environment is closed")
         try:
             self._parents[index].send(message)
         except (BrokenPipeError, ConnectionResetError, OSError) as error:
@@ -575,10 +450,10 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
             ) from error
 
     def _dispatch(self, index: int, message: tuple) -> None:
-        """Send ``message`` unless the pool degraded.  A dead worker is
-        left for :meth:`_collect`, which recovers it and re-issues
-        ``message``."""
-        if self.degraded:
+        """Send ``message`` while workers serve the slots.  A dead
+        worker is left for :meth:`_collect`, which recovers it and
+        re-issues ``message``."""
+        if self.envs is not None:
             return
         try:
             self._send(index, message)
@@ -589,12 +464,13 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         """Worker ``index``'s reply payload to the dispatched ``message``.
 
         A dead or hung worker is recovered and ``message`` re-issued to
-        its replacement.  Returns None when the pool degraded instead:
-        the caller finishes the operation on the local environments.
-        An error reply closes the pool and raises :class:`WorkerError`.
+        its replacement.  Returns None when the slots run in-process
+        (from the start, or because the pool degraded): the caller then
+        finishes the operation on :attr:`envs`.  An error reply closes
+        the pool and raises :class:`WorkerError`.
         """
         for attempt in range(MAX_RESPAWNS + 1):
-            if self.degraded:
+            if self.envs is not None:
                 return None
             try:
                 if attempt:
@@ -706,20 +582,22 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
 
     def _degrade(self) -> None:
         """Tear the pool down and replay every slot's episode prefix into
-        an in-process environment on the parent executor."""
+        an in-process environment on the parent executor.  The logs go
+        with the workers: nothing replays in-process slots."""
         for index in range(self.num_envs):
             self._stop_worker(index)
-        local: list[MlirRlEnv] = []
+        envs: list[MlirRlEnv] = []
         for log in self._logs:
             env = MlirRlEnv(self.config, self.executor)
             if log is not None:
                 env.reset(log.func)
                 for action in log.actions:
                     env.step(action)
-            local.append(env)
-        self._local = local
+            envs.append(env)
+        self.envs = envs
+        self._logs = [None] * self.num_envs
 
-    # -- VecMlirRlEnv interface -------------------------------------------------
+    # -- episodes ---------------------------------------------------------------
 
     def reset(self, funcs: Sequence[FuncOp]) -> VecObservation:
         """Start one episode per function in ``funcs``, on the slots
@@ -731,15 +609,16 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
             self._logs[index] = None
             self._dispatch(index, ("reset", func))
         for index, func in enumerate(funcs):
-            payload = self._collect(index, ("reset", func))
-            if self.degraded:
-                # Degraded before this slot's reply: (re)start its
-                # episode locally.  Slots collected earlier keep their
-                # worker-reported observations; _degrade replayed them.
-                self._observations[index] = self._local[index].reset(func)
+            observation = self._collect(index, ("reset", func))
+            if self.envs is not None:
+                # In-process, or degraded before this slot's reply:
+                # (re)start its episode locally.  Slots collected
+                # earlier keep their worker-reported observations;
+                # _degrade replayed them.
+                observation = self.envs[index].reset(func)
             else:
-                self._observations[index] = _unpack_observation(payload)
-            self._logs[index] = _EpisodeLog(func)
+                self._logs[index] = _EpisodeLog(func)
+            self._observations[index] = observation
         return self._stack()
 
     def step(self, actions: Sequence[EnvAction | None]) -> VecStepResult:
@@ -748,49 +627,46 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         rewards = np.zeros(self.num_envs)
         dones = np.ones(self.num_envs, dtype=bool)  # finished slots stay done
         infos: list[dict] = [{} for _ in range(self.num_envs)]
-        if not self.degraded:
+        if self.envs is None:
             self._maybe_kill_worker(stepped)
         for index in stepped:
             self._dispatch(index, ("step", actions[index]))
         for index in stepped:
             action = actions[index]
-            payload = self._collect(index, ("step", action))
-            if self.degraded:
-                # The local env holds exactly the logged prefix; this
-                # slot's action is applied (and logged) here.
-                result = self._local[index].step(action)
-                observation = result.observation
-                reward, done, info = result.reward, result.done, result.info
+            result = self._collect(index, ("step", action))
+            if self.envs is not None:
+                # In-process, or degraded (_degrade replayed the logged
+                # prefix): this slot's action is applied here.
+                result = self.envs[index].step(action)
             else:
-                packed, reward, done, info = payload
-                observation = _unpack_observation(packed)
-            self._observations[index] = observation
-            rewards[index] = reward
-            dones[index] = done
-            infos[index] = info
-            log = self._logs[index]
-            if log is not None:
-                log.actions.append(action)
+                self._logs[index].actions.append(action)
+            self._observations[index] = result.observation
+            rewards[index] = result.reward
+            dones[index] = result.done
+            infos[index] = result.info
         return VecStepResult(self._stack(), rewards, dones, infos)
 
     def final_speedup(self, index: int) -> float:
+        """Final speedup of slot ``index`` (see MlirRlEnv.final_speedup)."""
         message = ("final_speedup",)
         self._dispatch(index, message)
         payload = self._collect(index, message)
-        if self.degraded:
-            return self._local[index].final_speedup()
+        if self.envs is not None:
+            return self.envs[index].final_speedup()
         return float(payload)
 
     # -- cache sync / lifecycle -------------------------------------------------
 
     def set_machine(self, spec: MachineSpec | str) -> None:
-        """Retarget every worker (and the parent-side executor) to a
+        """Retarget every slot (and the parent-side executor) to a
         machine (spec or registry name — resolved here, so workers
         receive the value and never re-consult their own registry).
 
-        Workers keep their warm timing caches — entries are spec-keyed,
-        so nothing ever replays across machines.  Call between
-        episodes, like :meth:`MlirRlEnv.set_machine`.
+        In-process slots move to one fresh shared executor that keeps
+        the current cache, and workers keep their warm timing caches:
+        entries are spec-keyed, so nothing ever replays across
+        machines.  Call between episodes, like
+        :meth:`MlirRlEnv.set_machine`.
         """
         from ..machine.registry import spec as resolve_machine
 
@@ -803,8 +679,8 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
             self._dispatch(index, message)
         for index in range(self.num_envs):
             self._collect(index, message)
-        if self.degraded:
-            for env in self._local:
+        if self.envs is not None:
+            for env in self.envs:
                 env.set_machine(spec, executor=self.executor)
 
     def sync_timing_caches(self) -> int:
@@ -814,9 +690,9 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         since the last sync, merges them, and pushes the union back, so
         a baseline or schedule timed once in any process is a hit
         everywhere.  Returns the number of distinct entries exchanged
-        (0 once degraded: local envs share the parent executor).
+        (0 for in-process slots: they share the parent executor).
         """
-        if self.degraded:
+        if self.envs is not None:
             return 0
         updates: list = []
         cache = getattr(self.executor, "cache", None)
@@ -826,7 +702,7 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
             self._dispatch(index, ("cache_drain",))
         for index in range(self.num_envs):
             payload = self._collect(index, ("cache_drain",))
-            if self.degraded:
+            if self.envs is not None:
                 return 0
             updates.extend(payload)
         if not updates:
@@ -868,8 +744,8 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         if self._closed:
             return
         self._closed = True
-        if self.degraded:
-            return  # the workers are already down
+        if self.envs is not None:
+            return  # no workers, or they are already down
         for parent in self._parents:
             try:
                 parent.send(("close",))
@@ -878,7 +754,7 @@ class AsyncVecMlirRlEnv(_VectorEnvBase):
         for index in range(self.num_envs):
             self._stop_worker(index, grace=5)
 
-    def __enter__(self) -> "AsyncVecMlirRlEnv":
+    def __enter__(self) -> "VecMlirRlEnv":
         return self
 
     def __exit__(self, *exc) -> None:

@@ -115,7 +115,7 @@ def _mini_training_setup(
     return env, sampler
 
 
-def _ppo_config(iterations_budget: str = "bench") -> PPOConfig:
+def _ppo_config() -> PPOConfig:
     return PPOConfig(samples_per_iteration=6, minibatch_size=12)
 
 

@@ -4,8 +4,9 @@ deterministic fault injection.
 See :mod:`repro.fault.plan` for the injection model, ``guard`` for
 timeouts/retries/quarantine around executors (its
 :class:`~repro.fault.guard.GuardPolicy` is the one fault config), and
-``atomic`` for crash-safe writes.  Worker recovery lives in the rollout
-pool, :class:`~repro.env.vector.AsyncVecMlirRlEnv`.
+``atomic`` for crash-safe writes.  Worker recovery lives in the vector
+env's worker pool, :class:`~repro.env.vector.VecMlirRlEnv` built with
+``processes=True``.
 """
 
 from .atomic import (

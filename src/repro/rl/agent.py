@@ -50,11 +50,6 @@ class SampledStep:
     log_prob: float
     value: float
 
-    @property
-    def interchange_index(self) -> int:
-        """Seed-compat alias for the choice-head sample."""
-        return self.choice_index
-
 
 class _Agent:
     """The acting protocol both agents share.

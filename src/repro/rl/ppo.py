@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..env.environment import MlirRlEnv
-from ..env.vector import AsyncVecMlirRlEnv, VecMlirRlEnv
+from ..env.vector import VecMlirRlEnv
 from ..ir.ops import FuncOp
 from ..nn.optim import Adam, clip_grad_norm
 from ..nn.tensor import Tensor, where
@@ -43,13 +43,13 @@ class PPOConfig:
     #: forward per vector step instead of one per env); 1 = sequential.
     num_envs: int = 1
     #: Rollout worker processes.  1 keeps collection in-process (the
-    #: seed-exact path); N > 1 steps episodes through a persistent
-    #: :class:`~repro.env.vector.AsyncVecMlirRlEnv` pool of
-    #: ``max(num_envs, num_workers)`` slots with cross-worker
-    #: timing-cache sync, which respawns dead or hung workers and
-    #: replays their episodes.  Like ``num_envs`` > 1, the parallel collector
-    #: draws per-episode generators up front, so RNG consumption differs
-    #: from sequential collection — but is identical between the async
+    #: seed-exact path); N > 1 steps episodes through the persistent
+    #: vector env of ``max(num_envs, num_workers)`` slots with
+    #: ``processes=True``: a worker pool with cross-worker timing-cache
+    #: sync, which respawns dead or hung workers and replays their
+    #: episodes.  Like ``num_envs`` > 1, the parallel collector draws
+    #: per-episode generators up front, so RNG consumption differs from
+    #: sequential collection — but is identical between the worker
     #: pool and an equally sized in-process vector env.
     num_workers: int = 1
 
@@ -152,7 +152,7 @@ class PPOTrainer:
         #: (and checkpoint resume) so resumed runs continue numbering
         #: where they stopped.
         self.iteration = 0
-        self._vec_env: VecMlirRlEnv | AsyncVecMlirRlEnv | None = None
+        self._vec_env: VecMlirRlEnv | None = None
 
     # -- collection ------------------------------------------------------------
 
@@ -193,11 +193,11 @@ class PPOTrainer:
             remaining -= batch
         return trajectories
 
-    def _vector_env(self) -> VecMlirRlEnv | AsyncVecMlirRlEnv:
+    def _vector_env(self) -> VecMlirRlEnv:
         """The persistent vector env of batched collection, built on
-        first use on the training env's executor: ``num_envs``
-        in-process slots when ``num_workers == 1``, else a worker pool
-        of ``max(num_envs, num_workers)`` slots.
+        first use on the training env's executor: one slot per episode
+        of a batch, ``max(num_envs, num_workers)``, served by worker
+        processes when ``num_workers > 1``.
 
         A pool closed by a worker's error is replaced on the next
         collection instead of reused with a desynchronized protocol.
@@ -205,18 +205,12 @@ class PPOTrainer:
         if self._vec_env is not None and self._vec_env.closed:
             self._vec_env = None
         if self._vec_env is None:
-            if self.config.num_workers == 1:
-                self._vec_env = VecMlirRlEnv(
-                    self.config.num_envs,
-                    config=self.env.config,
-                    executor=self.env.executor,
-                )
-            else:
-                self._vec_env = AsyncVecMlirRlEnv(
-                    max(self.config.num_envs, self.config.num_workers),
-                    config=self.env.config,
-                    executor=self.env.executor,
-                )
+            self._vec_env = VecMlirRlEnv(
+                max(self.config.num_envs, self.config.num_workers),
+                config=self.env.config,
+                executor=self.env.executor,
+                processes=self.config.num_workers > 1,
+            )
         return self._vec_env
 
     def _apply_machine(self, spec) -> None:

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ..env.environment import MlirRlEnv
-from ..env.vector import AsyncVecMlirRlEnv, VecMlirRlEnv
+from ..env.vector import VecMlirRlEnv
 from ..ir.ops import FuncOp
 from .agent import ActorCritic, FlatActorCritic
 
@@ -75,7 +75,7 @@ def collect_episode(
 
 
 def collect_episodes_batched(
-    vec_env: VecMlirRlEnv | AsyncVecMlirRlEnv,
+    vec_env: VecMlirRlEnv,
     agent: ActorCritic | FlatActorCritic,
     funcs: Sequence[FuncOp],
     rngs: Sequence[np.random.Generator],

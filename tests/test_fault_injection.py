@@ -18,12 +18,7 @@ from hypothesis import strategies as st
 
 from repro.env import EnvAction, small_config, vector
 from repro.env.environment import FAULT_PENALTY, MlirRlEnv
-from repro.env.vector import (
-    MAX_RESPAWNS,
-    AsyncVecMlirRlEnv,
-    VecMlirRlEnv,
-    WorkerError,
-)
+from repro.env.vector import MAX_RESPAWNS, VecMlirRlEnv, WorkerError
 from repro.fault import (
     CorruptArtifactError,
     FaultEvent,
@@ -245,7 +240,7 @@ class TestSupervisedRecovery:
     def test_fault_free_run_is_bit_identical(self):
         funcs = [_matmul_func(), _chain_func()]
         expected = _baseline_record(funcs, seed=7)
-        with AsyncVecMlirRlEnv(2, config=CONFIG) as pool:
+        with VecMlirRlEnv(2, config=CONFIG, processes=True) as pool:
             actual = _run_vec(pool, funcs, seed=7)
             telemetry = pool.telemetry()
         assert actual == expected
@@ -257,7 +252,7 @@ class TestSupervisedRecovery:
         funcs = [_matmul_func(), _chain_func()]
         expected = _baseline_record(funcs, seed=7)
         plan = FaultPlan([FaultEvent("worker", 2, "kill")])
-        with AsyncVecMlirRlEnv(2, config=CONFIG, plan=plan) as pool:
+        with VecMlirRlEnv(2, config=CONFIG, processes=True, plan=plan) as pool:
             actual = _run_vec(pool, funcs, seed=7)
             telemetry = pool.telemetry()
         assert actual == expected
@@ -268,7 +263,7 @@ class TestSupervisedRecovery:
     def test_externally_killed_worker_recovers(self):
         funcs = [_matmul_func(), _chain_func()]
         expected = _baseline_record(funcs, seed=11)
-        with AsyncVecMlirRlEnv(2, config=CONFIG) as pool:
+        with VecMlirRlEnv(2, config=CONFIG, processes=True) as pool:
             rngs = [np.random.default_rng(11 + i) for i in range(2)]
             vec_obs = pool.reset(list(funcs))
             record = []
@@ -305,7 +300,7 @@ class TestSupervisedRecovery:
         monkeypatch.setattr(vector, "RECV_TIMEOUT_SECONDS", 0.5)
         funcs = [_matmul_func(), _chain_func()]
         expected = _baseline_record(funcs, seed=7)
-        with AsyncVecMlirRlEnv(2, config=CONFIG) as pool:
+        with VecMlirRlEnv(2, config=CONFIG, processes=True) as pool:
             pool._send(1, ("hang", 30.0))
             actual = _run_vec(pool, funcs, seed=7)
             assert pool.telemetry()["respawns"] == 1
@@ -319,7 +314,7 @@ class TestSupervisedRecovery:
         funcs = [_matmul_func(), _chain_func()]
 
         def run(kill):
-            with AsyncVecMlirRlEnv(2, config=CONFIG) as pool:
+            with VecMlirRlEnv(2, config=CONFIG, processes=True) as pool:
                 rngs = [np.random.default_rng(7 + i) for i in range(2)]
                 vec_obs = pool.reset(list(funcs))
                 record, syncs = [], []
@@ -369,11 +364,13 @@ class TestSupervisedRecovery:
     def test_degrades_to_in_process_after_respawn_failures(self):
         funcs = [_matmul_func(), _chain_func()]
         expected = _baseline_record(funcs, seed=7)
-        with AsyncVecMlirRlEnv(
-            2, config=CONFIG, plan=_degrading_plan()
+        with VecMlirRlEnv(
+            2, config=CONFIG, processes=True, plan=_degrading_plan()
         ) as pool:
             actual = _run_vec(pool, funcs, seed=7)
             assert pool.telemetry()["degraded"]
+            # Nothing replays in-process slots, so nothing logs them.
+            assert pool._logs == [None, None]
             # The degraded env keeps serving the full interface.
             speedup = pool.final_speedup(0)
             assert speedup > 0
@@ -385,7 +382,7 @@ class TestSupervisedRecovery:
         the pool raises at once, names the worker, and closes, without
         respawning, replaying or degrading."""
         empty_func = FuncOp("empty", [tensor([4, 4])])
-        pool = AsyncVecMlirRlEnv(2, config=CONFIG)
+        pool = VecMlirRlEnv(2, config=CONFIG, processes=True)
         try:
             with pytest.raises(WorkerError, match="no linalg ops") as excinfo:
                 pool.reset([_matmul_func(), empty_func])
@@ -413,23 +410,24 @@ class TestSupervisedRecovery:
         strict = GuardPolicy(timeout_seconds=1e-6, retries=0)
         guarded = GuardedExecutor(CachingExecutor(), strict)
         with (
-            AsyncVecMlirRlEnv(1, config=CONFIG, executor=guarded) as pool,
+            VecMlirRlEnv(1, config=CONFIG, executor=guarded, processes=True) as pool,
             pytest.raises(WorkerError, match="ExecutionTimeout.* 1 att"),
         ):
             pool.reset([long_chain])
-        with AsyncVecMlirRlEnv(1, config=CONFIG) as pool:
+        with VecMlirRlEnv(1, config=CONFIG, processes=True) as pool:
             assert pool.reset([long_chain]).active.all()
 
         policy = GuardPolicy(retries=4)
-        with AsyncVecMlirRlEnv(
+        with VecMlirRlEnv(
             2,
             config=CONFIG,
             executor=GuardedExecutor(CachingExecutor(), policy),
+            processes=True,
             plan=_degrading_plan(),
         ) as pool:
             _run_vec(pool, [_matmul_func(), _chain_func()], seed=7)
             assert pool.degraded
-            for env in pool._local:
+            for env in pool.envs:
                 assert isinstance(env.executor, GuardedExecutor)
                 assert env.executor.policy == policy
 
@@ -447,7 +445,7 @@ class TestForkHeap:
         trims = []
         monkeypatch.setattr(vector, "_trim_heap", lambda: trims.append(1))
         plan = FaultPlan([FaultEvent("worker", 2, "kill")])
-        with AsyncVecMlirRlEnv(2, config=CONFIG, plan=plan) as pool:
+        with VecMlirRlEnv(2, config=CONFIG, processes=True, plan=plan) as pool:
             _run_vec(pool, [_matmul_func(), _chain_func()], seed=7)
             respawns = pool.telemetry()["respawns"]
         assert respawns >= 1
@@ -575,7 +573,7 @@ class TestChaosSmoke:
             ]
         )
         # Worker kill: the pool recovers by replay.
-        with AsyncVecMlirRlEnv(2, config=CONFIG, plan=plan) as pool:
+        with VecMlirRlEnv(2, config=CONFIG, processes=True, plan=plan) as pool:
             actual_record = _run_vec(pool, funcs, seed=7)
             assert pool.telemetry()["injected_kills"] == 1
         assert actual_record == expected_record
@@ -694,7 +692,7 @@ class TestFaultPlanProperties:
         )
 
         plan = random_plan(seed, max_kills=1, horizon=6)
-        with AsyncVecMlirRlEnv(2, config=CONFIG, plan=plan) as pool:
+        with VecMlirRlEnv(2, config=CONFIG, processes=True, plan=plan) as pool:
             actual_record = _run_vec(pool, funcs, seed=7)
         assert actual_record == expected_record
 

@@ -17,7 +17,7 @@ import pytest
 
 from repro.env import EnvAction, small_config, vector
 from repro.env.environment import MlirRlEnv
-from repro.env.vector import AsyncVecMlirRlEnv, WorkerError
+from repro.env.vector import VecMlirRlEnv, WorkerError
 from repro.fault.atomic import (
     CorruptArtifactError,
     atomic_write_text,
@@ -363,7 +363,7 @@ class TestDeadWorkerRegressions:
     silent worker is flagged as hung."""
 
     def test_close_with_dead_worker_does_not_hang(self):
-        async_env = AsyncVecMlirRlEnv(2, config=CONFIG)
+        async_env = VecMlirRlEnv(2, config=CONFIG, processes=True)
         async_env.reset([_matmul_func()])
         async_env._processes[0].kill()
         async_env._processes[0].join(timeout=5)
@@ -371,7 +371,7 @@ class TestDeadWorkerRegressions:
         assert async_env.closed
 
     def test_close_with_hung_worker_terminates_it(self):
-        async_env = AsyncVecMlirRlEnv(1, config=CONFIG)
+        async_env = VecMlirRlEnv(1, config=CONFIG, processes=True)
         # Park the worker in a long sleep so it cannot answer "close".
         async_env._parents[0].send(("hang", 60.0))
         async_env.close()
@@ -379,7 +379,7 @@ class TestDeadWorkerRegressions:
 
     def test_recv_timeout_flags_hung_worker_as_alive(self, monkeypatch):
         monkeypatch.setattr(vector, "RECV_TIMEOUT_SECONDS", 0.2)
-        async_env = AsyncVecMlirRlEnv(1, config=CONFIG)
+        async_env = VecMlirRlEnv(1, config=CONFIG, processes=True)
         try:
             async_env._send(0, ("hang", 30.0))
             with pytest.raises(WorkerError, match="hung") as excinfo:

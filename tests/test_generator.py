@@ -96,8 +96,7 @@ class TestGeneratedPrograms:
         assert _corpus_text(11, 8) == _corpus_text(11, 8)
 
     def test_same_seed_reproduces_in_forked_worker(self):
-        """A fork worker with the same seed emits the identical corpus —
-        the property AsyncVecMlirRlEnv workers rely on."""
+        """A fork worker with the same seed emits the identical corpus."""
         context = multiprocessing.get_context("fork")
         with context.Pool(1) as pool:
             child = pool.apply(_corpus_text, (23, 6))

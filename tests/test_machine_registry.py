@@ -12,7 +12,7 @@ import pytest
 
 from repro.env import MlirRlEnv, feature_size, small_config
 from repro.env.features import machine_feature_vector
-from repro.env.vector import AsyncVecMlirRlEnv, VecMlirRlEnv
+from repro.env.vector import VecMlirRlEnv
 from repro.ir import FuncOp, matmul, tensor
 from repro.machine import (
     DEFAULT_MACHINE,
@@ -217,7 +217,7 @@ class TestConditionedObservations:
         sync.reset([_matmul_func()[0]])
         sync.step([parallelize])
         expected = sync.step([stop])
-        with AsyncVecMlirRlEnv(1, config=config) as async_env:
+        with VecMlirRlEnv(1, config=config, processes=True) as async_env:
             async_env.reset([func])
             async_env.step([parallelize])
             actual = async_env.step([stop])
@@ -243,11 +243,12 @@ class TestConditionedObservations:
         )
         stop = EnvAction(TransformKind.NO_TRANSFORMATION)
         results = []
-        for make in (VecMlirRlEnv, AsyncVecMlirRlEnv):
-            vec = make(
+        for processes in (False, True):
+            vec = VecMlirRlEnv(
                 1,
                 config=config,
                 executor=CachingExecutor(spec("edge-cortex-a72")),
+                processes=processes,
             )
             vec.reset([_matmul_func()[0]])
             first = vec.step([parallelize])
@@ -320,7 +321,7 @@ class TestCrossSpecCacheIsolation:
         can share a cache with — without ever replaying A's timings."""
         config = small_config(machine="laptop-8core", max_episode_steps=16)
         func = _matmul_func()[0]
-        with AsyncVecMlirRlEnv(2, config=config) as async_env:
+        with VecMlirRlEnv(2, config=config, processes=True) as async_env:
             async_env.reset([_matmul_func()[0], _matmul_func()[0]])
             exchanged = async_env.sync_timing_caches()
             assert exchanged > 0

@@ -1,4 +1,4 @@
-"""Parallel rollout collection (PR 3): AsyncVecMlirRlEnv + PPO workers.
+"""Parallel rollout collection: the worker-process vector env + PPO workers.
 
 The load-bearing property is *determinism across the process boundary*:
 stepping episodes through the multiprocessing pool must reproduce the
@@ -14,7 +14,7 @@ import pytest
 
 from repro.env import EnvAction, small_config
 from repro.env.environment import MlirRlEnv
-from repro.env.vector import AsyncVecMlirRlEnv, VecMlirRlEnv
+from repro.env.vector import VecMlirRlEnv
 from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.machine import CachingExecutor
 from repro.rl.agent import ActorCritic, FlatActorCritic
@@ -22,6 +22,7 @@ from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.rollout import collect_episode, collect_episodes_batched
 from repro.transforms import TransformKind
 from repro.transforms.registry import PluginKind
+from test_vec_env import VecEnvContract
 
 CONFIG = small_config(max_episode_steps=48)
 
@@ -89,37 +90,23 @@ def _run_vec(vec_env, funcs, seed):
     return record
 
 
-class TestAsyncVecEnv:
+class TestAsyncVecEnv(VecEnvContract):
+    """The slot contract with worker processes, plus what crosses the
+    process boundary."""
+
+    processes = True
+
     def test_matches_in_process_vec_env(self):
         funcs = [_matmul_func(), _chain_func()]
         sync = VecMlirRlEnv(2, config=CONFIG, executor=CachingExecutor())
         expected = _run_vec(sync, funcs, seed=7)
-        with AsyncVecMlirRlEnv(2, config=CONFIG) as async_env:
+        with VecMlirRlEnv(2, config=CONFIG, processes=True) as async_env:
             actual = _run_vec(async_env, funcs, seed=7)
         assert actual == expected
 
-    def test_partial_reset_leaves_surplus_slots_idle(self):
-        with AsyncVecMlirRlEnv(3, config=CONFIG) as async_env:
-            obs = async_env.reset([_matmul_func()])
-            assert obs.active.tolist() == [True, False, False]
-            assert async_env.active_indices() == [0]
-            stop = EnvAction(TransformKind.NO_TRANSFORMATION)
-            result = async_env.step([stop, None, None])
-            assert result.dones.tolist() == [True, True, True]
-
-    def test_validation_mirrors_sync_env(self):
-        with AsyncVecMlirRlEnv(2, config=CONFIG) as async_env:
-            with pytest.raises(ValueError):
-                async_env.reset([_matmul_func()] * 3)
-            async_env.reset([_matmul_func(), _matmul_func()])
-            with pytest.raises(ValueError):
-                async_env.step([EnvAction(TransformKind.NO_TRANSFORMATION)])
-            with pytest.raises(ValueError):
-                async_env.step([None, None])
-
     def test_final_speedup_round_trip(self):
         func = _matmul_func()
-        with AsyncVecMlirRlEnv(1, config=CONFIG) as async_env:
+        with VecMlirRlEnv(1, config=CONFIG, processes=True) as async_env:
             async_env.reset([func])
             async_env.step([EnvAction(TransformKind.NO_TRANSFORMATION)])
             speedup = async_env.final_speedup(0)
@@ -130,7 +117,7 @@ class TestAsyncVecEnv:
 
     def test_timing_cache_sync_exchanges_entries(self):
         funcs = [_matmul_func(), _matmul_func()]  # structurally identical
-        with AsyncVecMlirRlEnv(2, config=CONFIG) as async_env:
+        with VecMlirRlEnv(2, config=CONFIG, processes=True) as async_env:
             async_env.reset(funcs)
             first = async_env.sync_timing_caches()
             assert first > 0  # both workers timed the (same) baseline
@@ -142,7 +129,8 @@ class TestAsyncVecEnv:
     def test_pool_imports_analysis_before_forking(self):
         """Workers (and respawns) inherit repro.analysis from the pool's
         parent instead of importing it on their first mask, while
-        ``import repro.env`` alone still leaves it unloaded."""
+        ``import repro.env`` alone, or building an env without
+        processes, still leaves it unloaded."""
         import os
         import subprocess
         import sys
@@ -151,7 +139,10 @@ class TestAsyncVecEnv:
             "import sys\n"
             "import repro.env\n"
             "assert 'repro.analysis' not in sys.modules\n"
-            "with repro.env.AsyncVecMlirRlEnv(1, config=repro.env.small_config()):\n"
+            "config = repro.env.small_config()\n"
+            "repro.env.VecMlirRlEnv(1, config=config)\n"
+            "assert 'repro.analysis' not in sys.modules\n"
+            "with repro.env.VecMlirRlEnv(1, config=config, processes=True):\n"
             "    assert 'repro.analysis' in sys.modules\n"
         )
         subprocess.run(
@@ -182,18 +173,10 @@ class TestAsyncVecEnv:
             return counts
 
         expected = loop_counts(VecMlirRlEnv(2, config=CONFIG))
-        with AsyncVecMlirRlEnv(2, config=CONFIG) as async_env:
+        with VecMlirRlEnv(2, config=CONFIG, processes=True) as async_env:
             actual = loop_counts(async_env)
         assert actual == expected
         assert expected[0] == [3, 2]
-
-    def test_close_is_idempotent(self):
-        async_env = AsyncVecMlirRlEnv(1, config=CONFIG)
-        async_env.reset([_matmul_func()])
-        async_env.close()
-        async_env.close()
-        with pytest.raises(RuntimeError):
-            async_env.reset([_matmul_func()])
 
 
 class TestParallelCollection:
@@ -230,7 +213,7 @@ class TestParallelCollection:
             [np.random.default_rng(seed) for seed in seeds],
         )
 
-        with AsyncVecMlirRlEnv(3, config=config) as async_env:
+        with VecMlirRlEnv(3, config=config, processes=True) as async_env:
             parallel = collect_episodes_batched(
                 async_env,
                 agent,
@@ -379,8 +362,8 @@ class TestWorkerMachineShipping:
             config = small_config(
                 machine="test-runtime-box", max_episode_steps=8
             )
-            with AsyncVecMlirRlEnv(
-                1, config=config, start_method="spawn"
+            with VecMlirRlEnv(
+                1, config=config, processes=True, start_method="spawn"
             ) as pool:
                 pool.reset([_matmul_func()])
                 result = pool.step(

@@ -9,6 +9,7 @@ from repro.env import (
     VecMlirRlEnv,
     small_config,
 )
+from repro.fault import FaultEvent, FaultPlan
 from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.machine import CachingExecutor
 from repro.rl import (
@@ -41,10 +42,22 @@ def _chain_func():
     return func
 
 
-class TestVecEnvBasics:
+class VecEnvContract:
+    """The slot contract of both modes of :class:`VecMlirRlEnv`.
+
+    Subclasses pick the mode with ``processes``: ``TestVecEnvBasics``
+    runs it in-process, ``test_parallel_rollout.TestAsyncVecEnv`` with
+    worker processes.
+    """
+
+    processes = False
+
+    def _vec(self, num_envs):
+        return VecMlirRlEnv(num_envs, config=CONFIG, processes=self.processes)
+
     def test_reset_stacks_observations(self):
-        vec = VecMlirRlEnv(3, config=CONFIG)
-        obs = vec.reset([_matmul_func(), _chain_func(), _matmul_func()])
+        with self._vec(3) as vec:
+            obs = vec.reset([_matmul_func(), _chain_func(), _matmul_func()])
         assert obs.consumer.shape == obs.producer.shape
         assert obs.consumer.shape[0] == 3
         assert obs.active.all()
@@ -53,45 +66,59 @@ class TestVecEnvBasics:
     def test_reset_wrong_count_raises(self):
         """More functions than slots raises; fewer leaves the surplus
         slots idle."""
-        vec = VecMlirRlEnv(2, config=CONFIG)
-        with pytest.raises(ValueError):
-            vec.reset([_matmul_func()] * 3)
-        obs = vec.reset([_matmul_func()])
-        assert obs.active.tolist() == [True, False]
-        assert obs.masks[1] is None and obs.observation_of(1) is None
-        assert obs.num_loops.tolist() == [3, 0]
-        assert vec.active_indices() == [0]
-        stop = EnvAction(TransformKind.NO_TRANSFORMATION)
-        result = vec.step([stop, None])
+        with self._vec(2) as vec:
+            with pytest.raises(ValueError):
+                vec.reset([_matmul_func()] * 3)
+            obs = vec.reset([_matmul_func()])
+            assert obs.active.tolist() == [True, False]
+            assert obs.masks[1] is None and obs.observation_of(1) is None
+            assert obs.num_loops.tolist() == [3, 0]
+            stop = EnvAction(TransformKind.NO_TRANSFORMATION)
+            result = vec.step([stop, None])
         assert result.dones.tolist() == [True, True]
 
     def test_step_wrong_count_raises(self):
-        vec = VecMlirRlEnv(2, config=CONFIG)
-        vec.reset([_matmul_func(), _matmul_func()])
-        with pytest.raises(ValueError):
-            vec.step([EnvAction(TransformKind.NO_TRANSFORMATION)])
+        with self._vec(2) as vec:
+            vec.reset([_matmul_func(), _matmul_func()])
+            with pytest.raises(ValueError):
+                vec.step([EnvAction(TransformKind.NO_TRANSFORMATION)])
 
     def test_finished_slot_zeroes_and_rejects_actions(self):
-        vec = VecMlirRlEnv(2, config=CONFIG)
-        vec.reset([_matmul_func(), _chain_func()])
-        stop = EnvAction(TransformKind.NO_TRANSFORMATION)
-        result = vec.step([stop, stop])
-        # matmul (1 op) finished; chain (2 ops) did not.
-        assert result.dones[0] and not result.dones[1]
-        assert not result.observation.active[0]
-        assert result.observation.consumer[0].sum() == 0.0
-        assert result.observation.masks[0] is None
-        with pytest.raises(ValueError):
-            vec.step([stop, stop])
-        result = vec.step([None, stop])
+        with self._vec(2) as vec:
+            vec.reset([_matmul_func(), _chain_func()])
+            stop = EnvAction(TransformKind.NO_TRANSFORMATION)
+            result = vec.step([stop, stop])
+            # matmul (1 op) finished; chain (2 ops) did not.
+            assert result.dones[0] and not result.dones[1]
+            assert not result.observation.active[0]
+            assert result.observation.consumer[0].sum() == 0.0
+            assert result.observation.masks[0] is None
+            with pytest.raises(ValueError):
+                vec.step([stop, stop])
+            result = vec.step([None, stop])
         assert result.dones.all()
 
     def test_active_slot_requires_action(self):
-        vec = VecMlirRlEnv(1, config=CONFIG)
-        vec.reset([_matmul_func()])
-        with pytest.raises(ValueError):
-            vec.step([None])
+        with self._vec(1) as vec:
+            vec.reset([_matmul_func()])
+            with pytest.raises(ValueError):
+                vec.step([None])
 
+    def test_num_envs_validation(self):
+        with pytest.raises(ValueError):
+            self._vec(0)
+
+    def test_close_is_idempotent(self):
+        vec = self._vec(1)
+        vec.reset([_matmul_func()])
+        vec.close()
+        vec.close()
+        assert vec.closed
+        with pytest.raises(RuntimeError):
+            vec.reset([_matmul_func()])
+
+
+class TestVecEnvBasics(VecEnvContract):
     def test_envs_share_one_executor(self):
         vec = VecMlirRlEnv(3, config=CONFIG)
         assert isinstance(vec.executor, CachingExecutor)
@@ -104,9 +131,22 @@ class TestVecEnvBasics:
         assert vec.executor.stats.evaluations == 1
         assert vec.executor.stats.hits >= 3
 
-    def test_num_envs_validation(self):
-        with pytest.raises(ValueError):
-            VecMlirRlEnv(0, config=CONFIG)
+    def test_in_process_slots_make_no_worker_draws(self):
+        """An env built without processes is not a degraded pool, and
+        a plan's worker kills stay pending: there is no worker."""
+        plan = FaultPlan([FaultEvent("worker", 1, "kill")])
+        vec = VecMlirRlEnv(2, config=CONFIG, plan=plan)
+        vec.reset([_matmul_func(), _chain_func()])
+        stop = EnvAction(TransformKind.NO_TRANSFORMATION)
+        vec.step([stop, stop])
+        assert not vec.degraded
+        assert vec.telemetry() == {
+            "respawns": 0,
+            "injected_kills": 0,
+            "degraded": False,
+            "consecutive_respawn_failures": 0,
+        }
+        assert not plan.exhausted()
 
 
 class TestBatchedRolloutEquivalence:
@@ -163,7 +203,7 @@ class TestBatchedRolloutEquivalence:
                 assert np.array_equal(
                     step_seq.tile_indices, step_bat.tile_indices
                 )
-                assert step_seq.interchange_index == step_bat.interchange_index
+                assert step_seq.choice_index == step_bat.choice_index
                 assert step_seq.log_prob == pytest.approx(
                     step_bat.log_prob, abs=1e-9
                 )
